@@ -6,11 +6,10 @@
 //! functions from this crate and reduced to metrics once the run has ended.
 
 use crate::arrivals::Rng;
-use crate::inproc::{self, UPDATE_PROBE_APPLIES};
 use crate::kernels::{self, Dataset, DS, STRATEGIES};
 use crate::loadgen::{Op, Planned};
 use crate::report::{Metrics, Tally};
-use crate::served::{self, DeltaGen, Traffic, Uniform, TOLERANCE};
+use crate::served::{self, Ack, DeltaGen, KeptOutput, Traffic, Uniform, TOLERANCE};
 use crate::server::{self, Server};
 use crate::stats::{self, Sample};
 use crate::trace::{us, Trace};
@@ -18,12 +17,13 @@ use jitspmm::baseline::{mkl_like::spmm_mkl_like_f32_on, vectorized::spmm_vectori
 use jitspmm::profile::measure_jit_emulated;
 use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, ServerResponse, SpmmServer};
 use jitspmm::{
-    plan_shards, ExecutionReport, JitSpmmBuilder, KernelCache, MutableSpmm, ShardOptions,
-    WorkerPool,
+    plan_shards, CacheStats, ExecutionReport, JitSpmmBuilder, KernelCache, MutableSpmm,
+    ShardOptions, UpdateReport, WorkerPool,
 };
 use jitspmm_sparse::generate::{self, RmatConfig};
 use jitspmm_sparse::{CsrMatrix, DenseMatrix};
 use std::path::Path;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Repetitions of each baseline call (median taken).
@@ -33,6 +33,8 @@ const SERVE_QUEUE: usize = 64;
 /// Offered rate of the capacity phase, as a multiple of the nominal rate:
 /// well past what the server sustains, so replies arrive at capacity.
 const OVERLOAD: f64 = 12.0;
+/// How long the replay waits for one update to be swapped in.
+const SWAP_TIMEOUT: Duration = Duration::from_secs(10);
 
 pub fn run(
     workload: &str,
@@ -124,17 +126,18 @@ fn kernel_layers(
     let gbps: Vec<f64> = all.iter().map(|&i| bytes(i) / kernel_secs(i) / 1e9).collect();
     m.push("engine.effective_gbps", stats::geomean(&gbps), "GB/s");
 
-    baselines(&suite, &configs, &lp.wall, &pool, nproc, trace, m)?;
+    baselines(&suite, &configs, &pool, nproc, trace, m)?;
     drop(configs);
     profile_counts(&pool, m, tally)
 }
 
 /// The AOT baselines on the same inputs, and the Fig 9 / Fig 10 speedups of
-/// the JIT `execute` over them.
+/// the JIT kernel over them. Both sides are timed the same way, as
+/// `fig9`/`fig10` do: into a preallocated output, one warm-up call, then the
+/// median of [`BASELINE_REPS`] back-to-back calls.
 fn baselines(
     suite: &[Dataset],
     configs: &[kernels::Config<'_>],
-    jit_wall: &[Vec<Duration>],
     pool: &WorkerPool,
     nproc: usize,
     trace: &mut Trace,
@@ -177,7 +180,10 @@ fn baselines(
                     .iter()
                     .position(|c| c.dataset == di && c.d_index == dj && c.strategy == s)
                     .expect("every configuration was built");
-                let jit = median_secs(&jit_wall[i]);
+                let engine = &configs[i].engine;
+                let jit = timed("engine.execute_into", trace, &mut |y| {
+                    engine.execute_into(x, y).expect("shapes match the built engine");
+                });
                 over_vec[s][dj].push(vec / jit);
                 over_mkl[s][dj].push(mkl / jit);
             }
@@ -260,79 +266,104 @@ struct Replay {
 /// report, and the output when it is kept for the check.
 type Replied = (usize, Instant, Option<ExecutionReport>, Option<Vec<f32>>);
 
-/// Build the `serve-open-loop` engines in-process and replay the nominal
-/// arrival schedule through `SpmmServer::serve_controlled`, timing
-/// `send_request` and the send→consumer interval from outside.
+/// Replay `plan` in process through `SpmmServer::serve_controlled`, each
+/// request at its due time: MULs through `send_request`, UPDATEs through
+/// `ControlHandle::apply_update`, the sender then waiting in `wait_revision`
+/// until the swap lands, as a client waits for its `revision=N` reply.
+/// Records `serve.admit` (the `send_request` call), `serve.response` (send
+/// to consumer callback) and `update.swap_wait` spans, and checks the kept
+/// outputs against every revision they could have observed.
 fn replay(
+    server: &SpmmServer<'_, f32>,
     traffic: &Traffic,
     plan: &[Planned],
-    nproc: usize,
     trace: &mut Trace,
     tally: &mut Tally,
 ) -> Result<Replay, String> {
-    let pool = WorkerPool::new(nproc);
-    let matrices: Vec<CsrMatrix<f32>> = traffic.engines.iter().map(Uniform::matrix).collect();
-    let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
-    for (spec, matrix) in traffic.engines.iter().zip(&matrices) {
-        let engine = JitSpmmBuilder::new().pool(pool.clone()).threads(nproc).build(matrix, spec.d);
-        server
-            .add_engine(engine.map_err(|e| format!("build: {e}"))?)
-            .map_err(|e| format!("server: {e}"))?;
-    }
-    let muls: Vec<(Duration, u32, u64, bool)> = plan
-        .iter()
-        .filter_map(|p| match p.op {
-            Op::Mul { engine, seed } => Some((p.due, engine, seed, p.keep)),
-            Op::Update { .. } => None,
-        })
-        .collect();
+    let control = server.control();
+    // Plan indices of the admitted MULs: the server numbers requests in
+    // admission order. The sender pushes before sending and pops a refusal.
+    let admitted = Mutex::new(Vec::new());
     let start = Instant::now() + Duration::from_millis(20);
     let mut responses: Vec<Replied> = Vec::new();
-    let (report, sends) = server
+    let (report, (sends, acks, refused, failed_swaps)) = server
         .serve_controlled(
             ServeOptions::new(AdmissionPolicy::shedding(SERVE_QUEUE)),
             |sender| {
-                let mut sends = Vec::with_capacity(muls.len());
-                for &(due, engine, seed, _) in &muls {
-                    let due = start + due;
+                let mut sends = Vec::new();
+                let mut acks = Vec::new();
+                let (mut refused, mut failed_swaps) = (0, 0);
+                for (index, p) in plan.iter().enumerate() {
+                    let due = start + p.due;
                     let now = Instant::now();
                     if due > now {
                         std::thread::sleep(due - now);
                     }
-                    let input = traffic.engines[engine as usize].input(seed);
-                    let at = Instant::now();
-                    let sent = sender.send_request(ServerRequest::new(engine as usize, input));
-                    sends.push((at, Instant::now(), sent.is_ok()));
+                    match &p.op {
+                        Op::Mul { engine, seed } => {
+                            let input = traffic.engines[*engine as usize].input(*seed);
+                            admitted.lock().expect("admitted lock").push(index);
+                            let at = Instant::now();
+                            let request = ServerRequest::new(*engine as usize, input);
+                            if sender.send_request(request).is_ok() {
+                                sends.push((at, Instant::now()));
+                            } else {
+                                admitted.lock().expect("admitted lock").pop();
+                                refused += 1;
+                            }
+                        }
+                        Op::Update { engine, ops } => {
+                            let engine = *engine as usize;
+                            let revision = acks.len() as u64 + 1;
+                            let at = Instant::now();
+                            let swapped = control.apply_update(engine, served::delta_batch(ops))
+                                && control.wait_revision(engine, revision, SWAP_TIMEOUT);
+                            failed_swaps += usize::from(!swapped);
+                            acks.push(Ack { index, sent_at: at, acked_at: Instant::now() });
+                        }
+                    }
                 }
-                sends
+                (sends, acks, refused, failed_swaps)
             },
             |response: ServerResponse<f32>| {
                 let at = Instant::now();
                 let seq = response.request();
-                let keep = muls.get(seq).is_some_and(|m| m.3);
-                let sample = (keep && response.is_completed())
+                let index = admitted.lock().expect("admitted lock").get(seq).copied();
+                let keep = index.is_some_and(|i| plan[i].keep);
+                let output = (keep && response.is_completed())
                     .then(|| response.output().as_slice().to_vec());
-                responses.push((seq, at, response.report().copied(), sample));
+                responses.push((seq, at, response.report().copied(), output));
             },
         )
         .map_err(|e| format!("serve: {e}"))?;
-    if sends.iter().any(|s| !s.2) {
-        return Err("the replay's queue refused a request at the nominal rate".to_string());
-    }
-    tally.add(muls.len(), report.failed + report.rejected + report.shed_deadline);
+    let admitted = admitted.into_inner().expect("admitted lock");
+    let unanswered = sends.len().saturating_sub(responses.len());
+    tally.add(
+        plan.len(),
+        report.failed
+            + report.rejected
+            + report.shed_deadline
+            + refused
+            + failed_swaps
+            + unanswered,
+    );
     let mut admit = Vec::new();
     let mut response_us = Vec::new();
     let mut idle = Vec::new();
     let mut dispatch = Vec::new();
     let mut wake = Vec::new();
     let mut kernel = Vec::new();
-    for &(at, end, _) in &sends {
+    let mut kept = Vec::new();
+    for &(at, end) in &sends {
         trace.record("serve.admit", at, end);
         admit.push(us(end - at));
     }
-    for (seq, done, exec, sample) in &responses {
-        let (sent, _, _) = sends[*seq];
-        trace.record("serve.response", sent, *done);
+    for ack in &acks {
+        trace.record("update.swap_wait", ack.sent_at, ack.acked_at);
+    }
+    for (seq, done, exec, output) in responses {
+        let (sent, _) = *sends.get(seq).ok_or("a response to a request never admitted")?;
+        trace.record("serve.response", sent, done);
         let response = us(done.saturating_duration_since(sent));
         response_us.push(response);
         if let Some(r) = exec {
@@ -341,14 +372,15 @@ fn replay(
             wake.push(us(r.wake));
             kernel.push(us(r.kernel));
         }
-        if let Some(values) = sample {
-            let (_, engine, seed, _) = muls[*seq];
+        if let Some(values) = output {
+            let index = admitted[seq];
+            let Op::Mul { engine, .. } = plan[index].op else { unreachable!("MULs only") };
             let spec = &traffic.engines[engine as usize];
-            let got = DenseMatrix::from_vec(spec.rows, spec.d, values.clone());
-            let want = matrices[engine as usize].spmm_reference(&spec.input(seed));
-            tally.mismatches += usize::from(!got.approx_eq(&want, TOLERANCE));
+            let output = DenseMatrix::from_vec(spec.rows, spec.d, values);
+            kept.push(KeptOutput { index, sent_at: sent, recv_at: done, output });
         }
     }
+    tally.mismatches += served::check_outputs(traffic, plan, &acks, &kept, false)?;
     Ok(Replay {
         admit_us: Sample::new(admit),
         response_us: Sample::new(response_us),
@@ -381,7 +413,19 @@ fn serve_layers(
     let phase = Duration::from_secs_f64((seconds / 2.0).max(1200.0 / traffic.rate));
     let mut rng = Rng::derive(seed, "served-traffic");
     let plan = served::plan_phase(&traffic, &mut rng, &mut None, traffic.rate, phase, true);
-    let r = replay(&traffic, &plan, nproc, trace, tally)?;
+    let pool = WorkerPool::new(nproc);
+    let matrices: Vec<CsrMatrix<f32>> = traffic.engines.iter().map(Uniform::matrix).collect();
+    let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
+    for (spec, matrix) in traffic.engines.iter().zip(&matrices) {
+        let engine = JitSpmmBuilder::new()
+            .pool(pool.clone())
+            .threads(nproc)
+            .build(matrix, spec.d)
+            .map_err(|e| format!("build: {e}"))?;
+        server.add_engine(engine).map_err(|e| format!("server: {e}"))?;
+    }
+    let r = replay(&server, &traffic, &plan, trace, tally)?;
+    drop(server);
     m.push("serve.admit_us", r.admit_us.checked(50.0)?, "us");
     m.push("serve.response_us", r.response_us.checked(50.0)?, "us");
     m.push("serve.idle_wait_us", r.idle_wait_us.checked(50.0)?, "us");
@@ -468,6 +512,69 @@ fn serve_layers(
     Ok(())
 }
 
+/// Applies in the update probe: enough for a p99 with ten samples beyond.
+const UPDATE_PROBE_APPLIES: usize = 1010;
+
+/// What the update probe saw: `MutableSpmm::apply` on the `update-mixed`
+/// engine (two shards) with the same delta stream, in
+/// [`stats::WINDOWS`] windows that each start from a fresh engine (so
+/// retained generations do not pile up).
+struct UpdateProbe {
+    /// Apply times in the order they ran.
+    apply: Vec<Duration>,
+    reports: Vec<UpdateReport>,
+    /// Kernel-cache counters moved by the applies (not the compiles).
+    cache: CacheStats,
+    mismatches: usize,
+}
+
+/// Rebuilt shards are stored to (and untouched ones re-probed in) one fresh
+/// kernel cache, as the `update-mixed` server does.
+fn update_probe(seed: u64, work: &Path, trace: &mut Trace) -> Result<UpdateProbe, String> {
+    let applies = UPDATE_PROBE_APPLIES;
+    let nproc = crate::nproc();
+    let spec = served::update_traffic(seed, nproc).engines[0];
+    let matrix = spec.matrix();
+    let pool = WorkerPool::new(nproc);
+    let cache = KernelCache::open(server::fresh_dir(work, "probe-cache")?);
+    let mut gen = DeltaGen::new(seed, &matrix, nproc);
+    let x = spec.input(Rng::derive(seed, "probe-input").next_u64());
+    let mut probe = UpdateProbe {
+        apply: Vec::with_capacity(applies),
+        reports: Vec::with_capacity(applies),
+        cache: CacheStats::default(),
+        mismatches: 0,
+    };
+    for w in 0..stats::WINDOWS {
+        let options = ShardOptions::new().kernel_cache(cache.clone());
+        let engine = MutableSpmm::compile_with(&matrix, 2, nproc, spec.d, pool.clone(), options)
+            .map_err(|e| format!("mutable compile: {e}"))?;
+        let before = cache.stats();
+        let mut expected = matrix.clone();
+        let count = applies / stats::WINDOWS + usize::from(w < applies % stats::WINDOWS);
+        for _ in 0..count {
+            let delta = served::delta_batch(&gen.next_ops());
+            let at = Instant::now();
+            let report = engine.apply(&delta).map_err(|e| format!("apply: {e}"))?;
+            let end = Instant::now();
+            trace.record("update.apply", at, end);
+            probe.apply.push(end - at);
+            probe.reports.push(report);
+            expected = trace
+                .time("sparse.apply_delta", || expected.apply_delta(&delta))
+                .map_err(|e| format!("delta: {e}"))?;
+        }
+        let after = cache.stats();
+        probe.cache.hits += after.hits - before.hits;
+        probe.cache.misses += after.misses - before.misses;
+        probe.cache.stores += after.stores - before.stores;
+        probe.cache.rejects += after.rejects - before.rejects;
+        let (y, _) = pool.scope(|s| engine.execute(s, &x)).map_err(|e| format!("execute: {e}"))?;
+        probe.mismatches += usize::from(!y.approx_eq(&expected.spmm_reference(&x), TOLERANCE));
+    }
+    Ok(probe)
+}
+
 /// `update`, `sparse` (delta merge), `shard` (planning) and `cache`, on the
 /// `update-mixed` engine and delta stream.
 fn update_layers(
@@ -479,7 +586,7 @@ fn update_layers(
     tally: &mut Tally,
 ) -> Result<(), String> {
     let nproc = crate::nproc();
-    let probe = inproc::update_probe(seed, UPDATE_PROBE_APPLIES, true, work, trace)?;
+    let probe = update_probe(seed, work, trace)?;
     tally.add(probe.apply.len(), 0);
     tally.mismatches += probe.mismatches;
     let apply = sample_us(trace, "update.apply");
@@ -532,88 +639,24 @@ fn update_layers(
     }
     m.push("cache.warm_build_us", sample_us(trace, "cache.warm_build").median(), "us");
 
-    swap_waits(&traffic, seed, seconds, &pool, work, trace, tally)?;
-    m.push("update.swap_wait_us", sample_us(trace, "update.swap_wait").median(), "us");
-    Ok(())
-}
-
-/// Serve the `update-mixed` stream in-process and time each update from
-/// `ControlHandle::apply_update` until `wait_revision` sees it swapped in.
-fn swap_waits(
-    traffic: &Traffic,
-    seed: u64,
-    seconds: f64,
-    pool: &WorkerPool,
-    work: &Path,
-    trace: &mut Trace,
-    tally: &mut Tally,
-) -> Result<(), String> {
-    let nproc = crate::nproc();
-    let spec = traffic.engines[0];
-    let matrix = spec.matrix();
-    let cache = KernelCache::open(server::fresh_dir(work, "swap-cache")?);
+    // The `update-mixed` stream served in process: swap waits, and the
+    // outputs checked against the revisions they could have observed.
     let engine = MutableSpmm::compile_with(
         &matrix,
         2,
         nproc,
         spec.d,
         pool.clone(),
-        ShardOptions::new().kernel_cache(cache),
+        ShardOptions::new().kernel_cache(KernelCache::open(server::fresh_dir(work, "swap-cache")?)),
     )
     .map_err(|e| format!("mutable compile: {e}"))?;
     let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
     server.add_mutable(engine).map_err(|e| format!("server: {e}"))?;
-    let control = server.control();
     let mut deltas = Some(DeltaGen::new(seed, &matrix, nproc));
     let mut rng = Rng::derive(seed, "swap-traffic");
     let length = Duration::from_secs_f64(seconds / 2.0);
-    let plan = served::plan_phase(traffic, &mut rng, &mut deltas, traffic.rate, length, false);
-    let start = Instant::now() + Duration::from_millis(20);
-    let mut completed = 0usize;
-    let (report, waits) = server
-        .serve_controlled(
-            ServeOptions::new(AdmissionPolicy::shedding(SERVE_QUEUE)),
-            |sender| {
-                let mut waits = Vec::new();
-                let mut revision = 0;
-                for p in &plan {
-                    let due = start + p.due;
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                    match &p.op {
-                        Op::Mul { seed, .. } => {
-                            let _ = sender.send_request(ServerRequest::new(0, spec.input(*seed)));
-                        }
-                        Op::Update { ops, .. } => {
-                            revision += 1;
-                            let at = Instant::now();
-                            control.apply_update(0, served::delta_batch(ops));
-                            let swapped =
-                                control.wait_revision(0, revision, Duration::from_secs(10));
-                            waits.push((at, Instant::now(), swapped));
-                        }
-                    }
-                }
-                waits
-            },
-            |response: ServerResponse<f32>| completed += usize::from(response.is_completed()),
-        )
-        .map_err(|e| format!("serve: {e}"))?;
-    let muls = plan.iter().filter(|p| matches!(p.op, Op::Mul { .. })).count();
-    let failed_swaps = waits.iter().filter(|w| !w.2).count();
-    tally.add(
-        plan.len(),
-        report.failed
-            + report.rejected
-            + report.shed_deadline
-            + failed_swaps
-            + muls
-                .saturating_sub(completed + report.failed + report.rejected + report.shed_deadline),
-    );
-    for (at, end, _) in waits {
-        trace.record("update.swap_wait", at, end);
-    }
+    let plan = served::plan_phase(&traffic, &mut rng, &mut deltas, traffic.rate, length, true);
+    replay(&server, &traffic, &plan, trace, tally)?;
+    m.push("update.swap_wait_us", sample_us(trace, "update.swap_wait").median(), "us");
     Ok(())
 }

@@ -18,7 +18,6 @@
 //! makes the run exit non-zero.
 
 mod arrivals;
-mod inproc;
 mod kernels;
 mod layers;
 mod loadgen;
@@ -115,7 +114,7 @@ fn run(args: &Args, work: &Path) -> Result<(Tally, Metrics), String> {
     } else {
         let mut metrics = Metrics::default();
         let tally = match args.workload.as_str() {
-            "kernel-suite" => kernels::run_workload(args.seed, args.seconds, work, &mut metrics)?,
+            "kernel-suite" => kernels::run_workload(args.seed, args.seconds, &mut metrics)?,
             name => {
                 let nproc = nproc();
                 let traffic = if name == "serve-open-loop" {
@@ -134,15 +133,9 @@ fn run(args: &Args, work: &Path) -> Result<(Tally, Metrics), String> {
                 print!("server status after the run:\n{}", run.info_text);
                 served::push_metrics(&run, &mut metrics)?;
                 let mut tally = run.tally;
-                inproc::complete_end_to_end(
-                    name,
-                    &traffic,
-                    &run,
-                    args.seed,
-                    work,
-                    &mut metrics,
-                    &mut tally,
-                )?;
+                let pass = kernels::short_pass(args.seed, &mut metrics)?;
+                tally.add(pass.attempted, pass.failed);
+                tally.mismatches += pass.mismatches;
                 tally
             }
         };

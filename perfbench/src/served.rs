@@ -14,13 +14,13 @@ use jitspmm::plan_shards;
 use jitspmm_sparse::{generate, CsrMatrix, DeltaBatch, DenseMatrix};
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Relative tolerance of the output check (the kernels fuse multiply-adds
 /// the reference performs separately).
 pub const TOLERANCE: f64 = 1e-4;
 /// Server spawns per run; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 11;
 
 /// A `uniform:rows,cols,nnz,seed,d` engine, as `jitspmm-serve` builds it.
 #[derive(Debug, Clone, Copy)]
@@ -276,69 +276,104 @@ pub fn saturated_rate(plan: &[Planned], outcomes: &[Outcome], length: Duration) 
     done as f64 / (to - from).as_secs_f64()
 }
 
-/// Check kept MUL replies against references computed here from the
-/// engine spec, the request seed and — for the mutable engine — every
-/// revision the request could have observed (the engine starts the phase
-/// at revision 0). Returns the mismatches.
-pub fn verify(traffic: &Traffic, plan: &[Planned], outcomes: &[Outcome]) -> Result<usize, String> {
-    // Revision windows: updates are applied in send order on connection 0.
-    let updates: Vec<(usize, &Outcome)> = plan
+/// A kept MUL output, with its plan index and when it was sent and answered.
+pub struct KeptOutput {
+    pub index: usize,
+    pub sent_at: Instant,
+    pub recv_at: Instant,
+    pub output: DenseMatrix<f32>,
+}
+
+/// When one UPDATE was sent and acknowledged, with its plan index.
+pub struct Ack {
+    pub index: usize,
+    pub sent_at: Instant,
+    pub acked_at: Instant,
+}
+
+/// Check kept MUL outputs against references computed here from the engine
+/// spec, the request seed and — for the mutable engine — every revision the
+/// request could have observed. The engine starts at revision 0 and updates
+/// land in plan order: those acknowledged before a request was sent have
+/// landed, those sent before it was answered may have. With `ordered`, a MUL
+/// on connection 0 shares the updates' connection and sees exactly the
+/// updates planned before it. Returns the mismatches.
+pub fn check_outputs(
+    traffic: &Traffic,
+    plan: &[Planned],
+    acks: &[Ack],
+    kept: &[KeptOutput],
+    ordered: bool,
+) -> Result<usize, String> {
+    let windows: Vec<(usize, usize)> = kept
         .iter()
-        .zip(outcomes)
-        .enumerate()
-        .filter(|(_, (p, _))| matches!(p.op, Op::Update { .. }))
-        .map(|(i, (_, o))| (i, o))
-        .collect();
-    let mut checks = Vec::new();
-    let mut mismatches = 0;
-    for (k, (i, o)) in updates.iter().enumerate() {
-        if let Ok(body) = &o.reply {
-            if wire::revision(body)? != k as u64 + 1 {
-                eprintln!("UPDATE {i} acknowledged an out-of-order revision");
-                mismatches += 1;
+        .map(|k| {
+            if ordered && plan[k.index].conn == 0 {
+                let before = acks.iter().filter(|u| u.index < k.index).count();
+                (before, before)
+            } else {
+                let lo = acks.iter().filter(|u| u.acked_at < k.sent_at).count();
+                let hi = acks.iter().filter(|u| u.sent_at < k.recv_at).count();
+                (lo, hi)
             }
-        }
-    }
-    for (i, (p, o)) in plan.iter().zip(outcomes).enumerate() {
-        let Op::Mul { engine, seed } = p.op else { continue };
-        let Ok(body) = &o.reply else { continue };
-        if !p.keep {
-            continue;
-        }
-        let (lo, hi) = if p.conn == 0 {
-            let before = updates.iter().filter(|(u, _)| *u < i).count();
-            (before, before)
-        } else {
-            let lo = updates.iter().filter(|(_, u)| u.recv_at < o.sent_at).count();
-            let hi = updates.iter().filter(|(_, u)| u.sent_at < o.recv_at).count();
-            (lo, hi)
-        };
-        let (nrows, d, values) = wire::mul_output(body)?;
-        checks.push((lo, hi, engine as usize, seed, DenseMatrix::from_vec(nrows, d, values)));
-    }
-    let mut matched = vec![false; checks.len()];
+        })
+        .collect();
+    let mut matched = vec![false; kept.len()];
     let mut matrices: Vec<CsrMatrix<f32>> = traffic.engines.iter().map(Uniform::matrix).collect();
-    let max_rev = updates.len();
-    for rev in 0..=max_rev {
+    for rev in 0..=acks.len() {
         if rev > 0 {
-            let Op::Update { ops, .. } = &plan[updates[rev - 1].0].op else { unreachable!() };
+            let Op::Update { ops, .. } = &plan[acks[rev - 1].index].op else {
+                return Err("an acknowledgement for a request that is not an UPDATE".to_string());
+            };
             matrices[0] =
                 matrices[0].apply_delta(&delta_batch(ops)).map_err(|e| format!("delta: {e}"))?;
         }
-        for (c, (lo, hi, engine, seed, got)) in checks.iter().enumerate() {
-            if matched[c] || rev < *lo || rev > *hi {
+        for (c, k) in kept.iter().enumerate() {
+            let (lo, hi) = windows[c];
+            if matched[c] || rev < lo || rev > hi {
                 continue;
             }
-            let spec = &traffic.engines[*engine];
-            let want = matrices[*engine].spmm_reference(&spec.input(*seed));
-            matched[c] = got.approx_eq(&want, TOLERANCE);
+            let Op::Mul { engine, seed } = plan[k.index].op else {
+                return Err("a kept output for a request that is not a MUL".to_string());
+            };
+            let spec = &traffic.engines[engine as usize];
+            let want = matrices[engine as usize].spmm_reference(&spec.input(seed));
+            matched[c] = k.output.approx_eq(&want, TOLERANCE);
         }
     }
-    mismatches += matched.iter().filter(|m| !**m).count();
+    let mismatches = matched.iter().filter(|m| !**m).count();
     if mismatches > 0 {
-        eprintln!("{mismatches} of {} checked replies did not match their reference", checks.len());
+        eprintln!("{mismatches} of {} checked outputs did not match their reference", kept.len());
     }
     Ok(mismatches)
+}
+
+/// Check the kept MUL replies of a TCP phase (see [`check_outputs`]), and
+/// that every UPDATE reply names the next revision. Returns the mismatches.
+pub fn verify(traffic: &Traffic, plan: &[Planned], outcomes: &[Outcome]) -> Result<usize, String> {
+    let mut acks = Vec::new();
+    let mut kept = Vec::new();
+    let mut mismatches = 0;
+    for (index, (p, o)) in plan.iter().zip(outcomes).enumerate() {
+        match (&p.op, &o.reply) {
+            (Op::Update { .. }, reply) => {
+                acks.push(Ack { index, sent_at: o.sent_at, acked_at: o.recv_at });
+                if let Ok(body) = reply {
+                    if wire::revision(body)? != acks.len() as u64 {
+                        eprintln!("UPDATE {index} acknowledged an out-of-order revision");
+                        mismatches += 1;
+                    }
+                }
+            }
+            (Op::Mul { .. }, Ok(body)) if p.keep => {
+                let (nrows, d, values) = wire::mul_output(body)?;
+                let output = DenseMatrix::from_vec(nrows, d, values);
+                kept.push(KeptOutput { index, sent_at: o.sent_at, recv_at: o.recv_at, output });
+            }
+            (Op::Mul { .. }, _) => {}
+        }
+    }
+    Ok(mismatches + check_outputs(traffic, plan, &acks, &kept, true)?)
 }
 
 /// Spawn the server `SETUP_REPS` times, timing spawn→first INFO; the last
@@ -417,8 +452,11 @@ pub fn run_workload(
 /// End-to-end metrics of a served run.
 pub fn push_metrics(run: &ServedRun, metrics: &mut Metrics) -> Result<(), String> {
     metrics.push("setup_s", run.setup_s, "s");
-    metrics.push("latency_p50_ms", stats::windowed(&run.nominal.latency_ms, 50.0)?, "ms");
+    metrics.push("latency_p50_ms", stats::best_window(&run.nominal.latency_ms, 50.0)?, "ms");
     metrics.push("goodput_rps", run.nominal.goodput_rps, "1/s");
+    if !run.nominal.updates_ms.is_empty() {
+        metrics.push("update_p50_ms", stats::best_window(&run.nominal.updates_ms, 50.0)?, "ms");
+    }
     Ok(())
 }
 
@@ -451,6 +489,53 @@ mod tests {
             format!("{:?}", plan(&open_loop_traffic(9, 2), 9)),
             format!("{:?}", plan(&open_loop_traffic(9, 2), 10))
         );
+    }
+
+    #[test]
+    fn outputs_are_checked_against_the_revisions_they_could_observe() {
+        let traffic = update_traffic(5, 2);
+        let spec = traffic.engines[0];
+        let base = spec.matrix();
+        let ops = DeltaGen::new(5, &base, 2).next_ops();
+        let plan = vec![
+            Planned {
+                due: Duration::ZERO,
+                conn: 0,
+                op: Op::Update { engine: 0, ops: ops.clone() },
+                keep: false,
+            },
+            Planned {
+                due: Duration::ZERO,
+                conn: 1,
+                op: Op::Mul { engine: 0, seed: 9 },
+                keep: true,
+            },
+        ];
+        let x = spec.input(9);
+        let (before, after) = (base.spmm_reference(&x), {
+            base.apply_delta(&delta_batch(&ops)).unwrap().spmm_reference(&x)
+        });
+        let t0 = Instant::now();
+        let t = |ms: u64| t0 + Duration::from_millis(ms);
+        let check = |ack: (u64, u64), mul: (u64, u64), output: &DenseMatrix<f32>| {
+            let acks = [Ack { index: 0, sent_at: t(ack.0), acked_at: t(ack.1) }];
+            let kept = [KeptOutput {
+                index: 1,
+                sent_at: t(mul.0),
+                recv_at: t(mul.1),
+                output: output.clone(),
+            }];
+            check_outputs(&traffic, &plan, &acks, &kept, false).unwrap()
+        };
+        // Sent after the update was acknowledged: only the new revision.
+        assert_eq!(check((0, 1), (2, 3), &after), 0);
+        assert_eq!(check((0, 1), (2, 3), &before), 1);
+        // Answered before the update was sent: only the old revision.
+        assert_eq!(check((5, 6), (2, 3), &before), 0);
+        assert_eq!(check((5, 6), (2, 3), &after), 1);
+        // Overlapping the update: either revision.
+        assert_eq!(check((2, 5), (1, 3), &before), 0);
+        assert_eq!(check((2, 5), (1, 3), &after), 0);
     }
 
     #[test]
