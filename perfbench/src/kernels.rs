@@ -1,14 +1,17 @@
-//! The `kernel-suite` workload: the paper's own claim. A closed loop of
-//! `JitSpmm::execute` on a pool of `nproc` workers over the six Table III
-//! stand-ins of `datasets::quick_suite()` (one per structural family), for
-//! d ∈ {16, 32} and the three workload-division strategies.
+//! The kernel phase, and the whole of the `kernel-suite` workload's own
+//! share: the paper's claim. The JIT kernel on a pool of `nproc` workers
+//! over the six Table III stand-ins of `datasets::quick_suite()` (one per
+//! structural family), for d ∈ {16, 32} and the three workload-division
+//! strategies, against the vectorized AOT baseline (Fig 9). The traced run
+//! also drives a closed loop of `JitSpmm::execute` over the same suite.
 
 use crate::arrivals::Rng;
 use crate::report::{Metrics, Tally};
 use crate::stats;
 use crate::trace::Trace;
+use jitspmm::baseline::vectorized::spmm_vectorized_on;
 use jitspmm::{ExecutionReport, JitSpmm, JitSpmmBuilder, Strategy, WorkerPool};
-use jitspmm_sparse::datasets;
+use jitspmm_sparse::datasets::{self, DatasetClass};
 use jitspmm_sparse::{CsrMatrix, DenseMatrix};
 use std::time::{Duration, Instant};
 
@@ -20,13 +23,24 @@ pub const STRATEGIES: [(&str, Strategy); 3] = [
 ];
 /// Pool creations plus full builds per run; `setup_s` is their median.
 const SETUP_REPS: usize = 101;
-/// Rounds per window of a closed loop; the end-to-end figures come from
-/// the best window.
-const ROUNDS_PER_WINDOW: usize = 6;
-/// Rounds of the short pass that completes a served run's end-to-end set.
-const SHORT_PASS_ROUNDS: usize = 24;
-/// Latency limit on one `execute` of the suite.
-const LIMIT: Duration = Duration::from_millis(100);
+/// The suite runs at 1/SCALE of `quick_suite()`'s rows and non-zeros.
+/// At full size the kernels stream 15-60 MB from a last-level cache and
+/// memory shared with other tenants, and single calls of the same kernel
+/// took from 1x to 2x their fastest time on a shared 2-vCPU host, so a
+/// run fitted only 7 rounds, too few to pin a median. At 1/8 the largest
+/// working set is under 10 MB and a run fits about 90 rounds.
+const SCALE: usize = 8;
+/// Copies of each dense input and output that the rounds of
+/// [`speedup_loop`] rotate through. Where X and Y sit in memory moves the
+/// kernels' time: within one process, the row-split JIT kernel on four
+/// copies of the same GAP-urand input (d = 16) took 0.90, 1.37, 1.37 and
+/// 1.28 ms, and the fast copy was a different one from process to process.
+/// Averaging over copies measures the kernel rather than one draw of the
+/// allocator.
+const PLACEMENTS: usize = 8;
+/// Fewest rounds of [`speedup_loop`], however short the phase: two per
+/// placement.
+const MIN_ROUNDS: usize = 2 * PLACEMENTS;
 /// Relative tolerance against `spmm_reference`.
 const TOLERANCE: f64 = 1e-4;
 
@@ -49,13 +63,20 @@ impl Dataset {
     }
 }
 
-/// Generate the suite. The seed perturbs each generator seed and picks the
-/// dense inputs; generation is the benchmark's work and is not timed.
+/// Generate the suite at 1/[`SCALE`]. The seed perturbs each generator seed
+/// and picks the dense inputs; generation is the benchmark's work and is
+/// not timed.
 pub fn load(seed: u64) -> Vec<Dataset> {
     datasets::quick_suite()
         .into_iter()
         .map(|mut spec| {
             let mut rng = Rng::derive(seed, spec.name);
+            spec.scaled_rows /= SCALE;
+            spec.scaled_nnz /= SCALE;
+            if let DatasetClass::Mycielskian { order } = spec.class {
+                // Each order roughly triples the non-zeros.
+                spec.class = DatasetClass::Mycielskian { order: order - 2 };
+            }
             spec.seed = spec.seed.wrapping_add(rng.below(1 << 32));
             let matrix = spec.generate::<f32>();
             let inputs = DS
@@ -133,10 +154,7 @@ pub fn check(suite: &[Dataset], configs: &[Config<'_>]) -> Result<(usize, Vec<Du
 
 /// Per-configuration samples of the closed loop.
 pub struct Loop {
-    /// Wall time of each `execute` call, per configuration.
-    pub wall: Vec<Vec<Duration>>,
     pub reports: Vec<Vec<ExecutionReport>>,
-    pub elapsed: Duration,
     pub calls: usize,
 }
 
@@ -150,9 +168,7 @@ pub fn closed_loop(
     rounds: usize,
     trace: &mut Trace,
 ) -> Result<Loop, String> {
-    let mut wall = vec![Vec::with_capacity(rounds); runs.len()];
     let mut reports = vec![Vec::with_capacity(rounds); runs.len()];
-    let started = Instant::now();
     for _ in 0..rounds {
         let mut previous: Option<*const u64> = None;
         for (i, (engine, x)) in runs.iter().enumerate() {
@@ -167,11 +183,10 @@ pub fn closed_loop(
             let end = Instant::now();
             std::hint::black_box(&y);
             trace.record("engine.execute", at, end);
-            wall[i].push(end - at);
             reports[i].push(report);
         }
     }
-    Ok(Loop { wall, reports, elapsed: started.elapsed(), calls: rounds * runs.len() })
+    Ok(Loop { reports, calls: rounds * runs.len() })
 }
 
 /// The (engine, input) pairs of the suite, in configuration order.
@@ -191,76 +206,113 @@ pub fn rounds_for(seconds: f64, times: &[Duration]) -> usize {
     ((seconds / round.max(1e-6)) as usize).clamp(min, 5000)
 }
 
-/// Each configuration's median call time in seconds, per window of
-/// [`ROUNDS_PER_WINDOW`] consecutive rounds (whole windows only):
-/// `[window][configuration]`.
-fn window_medians(times: &[Vec<Duration>]) -> Vec<Vec<f64>> {
-    let rounds = times.first().map_or(0, Vec::len);
-    (0..rounds / ROUNDS_PER_WINDOW)
-        .map(|w| {
-            let span = w * ROUNDS_PER_WINDOW..(w + 1) * ROUNDS_PER_WINDOW;
-            times
-                .iter()
-                .map(|t| {
-                    stats::median_of(
-                        &t[span.clone()].iter().map(Duration::as_secs_f64).collect::<Vec<_>>(),
-                    )
-                })
-                .collect()
-        })
-        .collect()
+/// Per-configuration call times of [`speedup_loop`], in seconds.
+pub struct Speedups {
+    pub jit: Vec<Vec<f64>>,
+    pub aot: Vec<Vec<f64>>,
+    pub rounds: usize,
 }
 
-/// GFLOP/s per strategy: 2·nnz·d over the median call time, as a geomean
-/// over datasets × d, in the best window (see [`stats::best_window`] for why).
-pub fn strategy_gflops(
+impl Speedups {
+    /// Per strategy: the median AOT time over the median JIT time of each
+    /// configuration and placement, as a geomean over placements, datasets
+    /// and d.
+    pub fn per_strategy(&self, configs: &[Config<'_>]) -> [f64; 3] {
+        let median_at = |times: &[f64], placement: usize| {
+            stats::median_of(
+                &times.iter().skip(placement).step_by(PLACEMENTS).copied().collect::<Vec<_>>(),
+            )
+        };
+        let mut out = [0.0; 3];
+        for (s, slot) in out.iter_mut().enumerate() {
+            let ratios: Vec<f64> = configs
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.strategy == s)
+                .flat_map(|(i, _)| {
+                    (0..PLACEMENTS)
+                        .map(move |p| median_at(&self.aot[i], p) / median_at(&self.jit[i], p))
+                })
+                .collect();
+            *slot = stats::geomean(&ratios);
+        }
+        out
+    }
+}
+
+/// Rounds of the JIT kernel against the vectorized AOT baseline until
+/// `seconds` have passed, and at least [`MIN_ROUNDS`]. A round runs every
+/// configuration once: `execute_into` on a preallocated output, then
+/// `spmm_vectorized_on` with the same strategy, pool, input and output.
+/// The two calls of a pair run back to back, so a slow stretch of the
+/// shared host's memory system slows both sides of the ratio alike. Round
+/// r uses copy r % [`PLACEMENTS`] of each input and output. A change of
+/// dataset or d is preceded by an untimed call.
+pub fn speedup_loop(
     suite: &[Dataset],
     configs: &[Config<'_>],
-    times: &[Vec<Duration>],
-) -> [f64; 3] {
-    let windows = window_medians(times);
-    let mut out = [0.0; 3];
-    for (s, slot) in out.iter_mut().enumerate() {
-        *slot = windows
-            .iter()
-            .map(|medians| {
-                let rates: Vec<f64> = configs
-                    .iter()
-                    .zip(medians)
-                    .filter(|(c, _)| c.strategy == s)
-                    .map(|(c, &t)| suite[c.dataset].flops(DS[c.d_index]) / t / 1e9)
-                    .collect();
-                stats::geomean(&rates)
-            })
-            .fold(0.0, f64::max);
+    pool: &WorkerPool,
+    nproc: usize,
+    seconds: f64,
+) -> Result<Speedups, String> {
+    let mut jit = vec![Vec::new(); configs.len()];
+    let mut aot = vec![Vec::new(); configs.len()];
+    // Copies of each input and output per (dataset, d), indexed
+    // `dataset * DS.len() + d_index`.
+    let inputs: Vec<Vec<DenseMatrix<f32>>> =
+        suite.iter().flat_map(|ds| ds.inputs.iter().map(|x| vec![x.clone(); PLACEMENTS])).collect();
+    let mut outputs: Vec<Vec<DenseMatrix<f32>>> = suite
+        .iter()
+        .flat_map(|ds| {
+            DS.iter().map(|&d| vec![DenseMatrix::zeros(ds.matrix.nrows(), d); PLACEMENTS])
+        })
+        .collect();
+    let started = Instant::now();
+    let mut rounds = 0;
+    while rounds < MIN_ROUNDS || started.elapsed().as_secs_f64() < seconds {
+        let mut previous = None;
+        for (i, c) in configs.iter().enumerate() {
+            let ds = &suite[c.dataset];
+            let group = c.dataset * DS.len() + c.d_index;
+            let x = &inputs[group][rounds % PLACEMENTS];
+            let y = &mut outputs[group][rounds % PLACEMENTS];
+            if previous != Some(group) {
+                c.engine.execute_into(x, y).map_err(|e| format!("execute_into: {e}"))?;
+                previous = Some(group);
+            }
+            let at = Instant::now();
+            c.engine
+                .execute_into(std::hint::black_box(x), y)
+                .map_err(|e| format!("execute_into: {e}"))?;
+            let mid = Instant::now();
+            let strategy = STRATEGIES[c.strategy].1;
+            spmm_vectorized_on(pool, &ds.matrix, std::hint::black_box(x), y, strategy, nproc);
+            let end = Instant::now();
+            jit[i].push((mid - at).as_secs_f64());
+            aot[i].push((end - mid).as_secs_f64());
+        }
+        rounds += 1;
     }
-    out
+    Ok(Speedups { jit, aot, rounds })
 }
 
 /// The three per-strategy end-to-end metrics.
-pub fn push_gflops([row, nnz, merge]: [f64; 3], metrics: &mut Metrics) {
-    metrics.push("row_split_gflops", row, "GFLOP/s");
-    metrics.push("nnz_split_gflops", nnz, "GFLOP/s");
-    metrics.push("merge_split_gflops", merge, "GFLOP/s");
+pub fn push_speedups([row, nnz, merge]: [f64; 3], metrics: &mut Metrics) {
+    metrics.push("row_split_speedup", row, "ratio");
+    metrics.push("nnz_split_speedup", nnz, "ratio");
+    metrics.push("merge_split_speedup", merge, "ratio");
 }
 
-/// The `*_gflops` of a served run, which measures no per-strategy kernel
-/// rate over TCP: a short pass of [`SHORT_PASS_ROUNDS`] rounds over the
-/// suite, every configuration checked once first. Not the served engines'
-/// own kernels: those run in microseconds, fit in the per-core caches, and
-/// their GFLOP/s moved by up to 1.6x between runs of one seed on a shared
-/// host, against about 0.1 for this pass.
-pub fn short_pass(seed: u64, metrics: &mut Metrics) -> Result<Tally, String> {
-    let suite = load(seed);
-    let (_pool, configs, _) = build_all(&suite, crate::nproc(), &mut Trace::new(false))?;
-    let (mismatches, _) = check(&suite, &configs)?;
-    let run = closed_loop(&runs(&suite, &configs), SHORT_PASS_ROUNDS, &mut Trace::new(false))?;
-    push_gflops(strategy_gflops(&suite, &configs, &run.wall), metrics);
-    Ok(Tally { attempted: run.calls + configs.len(), failed: 0, mismatches })
+/// What the kernel phase of an untraced run measured.
+pub struct KernelRun {
+    pub setup_s: f64,
+    pub speedups: [f64; 3],
+    pub tally: Tally,
 }
 
-/// The untraced `kernel-suite` run.
-pub fn run_workload(seed: u64, seconds: f64, metrics: &mut Metrics) -> Result<Tally, String> {
+/// The untraced kernel phase: [`SETUP_REPS`] timed set-ups, every
+/// configuration checked once, then [`speedup_loop`] for `seconds`.
+pub fn run_phase(seed: u64, seconds: f64) -> Result<KernelRun, String> {
     let nproc = crate::nproc();
     let suite = load(seed);
     let mut setups = Vec::new();
@@ -270,32 +322,18 @@ pub fn run_workload(seed: u64, seconds: f64, metrics: &mut Metrics) -> Result<Ta
         drop(configs);
         drop(pool);
     }
-    let (_pool, configs, took) = build_all(&suite, nproc, &mut Trace::new(false))?;
+    let (pool, configs, took) = build_all(&suite, nproc, &mut Trace::new(false))?;
     setups.push(took.as_secs_f64());
-    let (mismatches, times) = check(&suite, &configs)?;
-    let run =
-        closed_loop(&runs(&suite, &configs), rounds_for(seconds, &times), &mut Trace::new(false))?;
-
-    // Latency and goodput come from each configuration's median call time
-    // in the best window, as the GFLOP/s do.
-    let windows = window_medians(&run.wall);
-    let latency = windows.iter().map(|w| stats::geomean(w)).fold(f64::INFINITY, f64::min);
-    let goodput = windows
-        .iter()
-        .map(|w| {
-            let within = w.iter().filter(|&&t| t <= LIMIT.as_secs_f64()).count();
-            within as f64 / w.iter().sum::<f64>()
-        })
-        .fold(0.0, f64::max);
-    metrics.push("setup_s", stats::median_of(&setups), "s");
-    metrics.push("latency_p50_ms", latency * 1e3, "ms");
-    metrics.push("goodput_rps", goodput, "1/s");
-    push_gflops(strategy_gflops(&suite, &configs, &run.wall), metrics);
-    eprintln!(
-        "kernel-suite: {} configs x {} calls in {:.2} s",
-        configs.len(),
-        run.calls / configs.len(),
-        run.elapsed.as_secs_f64()
-    );
-    Ok(Tally { attempted: run.calls + configs.len(), failed: 0, mismatches })
+    let (mismatches, _) = check(&suite, &configs)?;
+    let run = speedup_loop(&suite, &configs, &pool, nproc, seconds)?;
+    eprintln!("kernel phase: {} configs x {} rounds", configs.len(), run.rounds);
+    Ok(KernelRun {
+        setup_s: stats::median_of(&setups),
+        speedups: run.per_strategy(&configs),
+        tally: Tally {
+            attempted: 2 * run.rounds * configs.len() + configs.len(),
+            failed: 0,
+            mismatches,
+        },
+    })
 }

@@ -33,6 +33,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 pub const WORKLOADS: [&str; 3] = ["kernel-suite", "serve-open-loop", "update-mixed"];
+/// Share of `--seconds` an untraced run spends in its workload's own phase.
+const OWN_SHARE: f64 = 2.0 / 3.0;
 
 struct Args {
     serve_bin: PathBuf,
@@ -112,33 +114,31 @@ fn run(args: &Args, work: &Path) -> Result<(Tally, Metrics), String> {
         }
         Ok((tally, metrics))
     } else {
-        let mut metrics = Metrics::default();
-        let tally = match args.workload.as_str() {
-            "kernel-suite" => kernels::run_workload(args.seed, args.seconds, &mut metrics)?,
-            name => {
-                let nproc = nproc();
-                let traffic = if name == "serve-open-loop" {
-                    served::open_loop_traffic(args.seed, nproc)
-                } else {
-                    served::update_traffic(args.seed, nproc)
-                };
-                let run = served::run_workload(
-                    &args.serve_bin,
-                    &traffic,
-                    args.seed,
-                    args.seconds,
-                    nproc,
-                    work,
-                )?;
-                print!("server status after the run:\n{}", run.info_text);
-                served::push_metrics(&run, &mut metrics)?;
-                let mut tally = run.tally;
-                let pass = kernels::short_pass(args.seed, &mut metrics)?;
-                tally.add(pass.attempted, pass.failed);
-                tally.mismatches += pass.mismatches;
-                tally
+        // Each workload gives its own phase OWN_SHARE of the time and the
+        // other phase the rest, so every run reports every end-to-end metric.
+        let own = args.seconds * OWN_SHARE;
+        let nproc = nproc();
+        let (kernel_secs, served_secs, traffic) = match args.workload.as_str() {
+            "kernel-suite" => {
+                (own, args.seconds - own, served::open_loop_traffic(args.seed, nproc))
             }
+            "serve-open-loop" => {
+                (args.seconds - own, own, served::open_loop_traffic(args.seed, nproc))
+            }
+            _ => (args.seconds - own, own, served::update_traffic(args.seed, nproc)),
         };
+        let run =
+            served::run_workload(&args.serve_bin, &traffic, args.seed, served_secs, nproc, work)?;
+        print!("server status after the run:\n{}", run.info_text);
+        let kernel = kernels::run_phase(args.seed, kernel_secs)?;
+        let mut metrics = Metrics::default();
+        let setup_s = if args.workload == "kernel-suite" { kernel.setup_s } else { run.setup_s };
+        metrics.push("setup_s", setup_s, "s");
+        served::push_metrics(&run, &mut metrics)?;
+        kernels::push_speedups(kernel.speedups, &mut metrics);
+        let mut tally = run.tally;
+        tally.add(kernel.tally.attempted, kernel.tally.failed);
+        tally.mismatches += kernel.tally.mismatches;
         metrics.push("ok_share", 1.0 - tally.failed_share(), "ratio");
         Ok((tally, metrics))
     }

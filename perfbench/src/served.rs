@@ -449,9 +449,8 @@ pub fn run_workload(
     Ok(ServedRun { nominal, setup_s: stats::median_of(&setups), tally, info_text })
 }
 
-/// End-to-end metrics of a served run.
+/// End-to-end latency metrics of a served run (`setup_s` is the caller's).
 pub fn push_metrics(run: &ServedRun, metrics: &mut Metrics) -> Result<(), String> {
-    metrics.push("setup_s", run.setup_s, "s");
     metrics.push("latency_p50_ms", stats::best_window(&run.nominal.latency_ms, 50.0)?, "ms");
     metrics.push("goodput_rps", run.nominal.goodput_rps, "1/s");
     if !run.nominal.updates_ms.is_empty() {
