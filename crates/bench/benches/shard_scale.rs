@@ -1,4 +1,4 @@
-//! Sharded-execution scaling benchmark: a [`ShardedSpmm`] over K
+//! Sharded-execution scaling benchmark: a sharded [`MutableSpmm`] over K
 //! nnz-balanced shards of one large power-law matrix, versus the single
 //! unsharded engine on the same pool — across K ∈ {1, 2, 4, 8}.
 //!
@@ -17,8 +17,8 @@
 //! power-law inputs is asserted here, so a planner regression fails the
 //! bench rather than silently skewing the numbers.
 
-use jitspmm::shard::{plan_shards, ShardedSpmm};
-use jitspmm::{CpuFeatures, JitSpmmBuilder, WakeSlot, WorkerPool};
+use jitspmm::shard::plan_shards;
+use jitspmm::{CpuFeatures, JitSpmmBuilder, MutableSpmm, WakeSlot, WorkerPool};
 use jitspmm_bench::{
     emit_bench_json, geometric_mean, host_cores, json_stats, measure_interleaved, TextTable,
 };
@@ -100,7 +100,8 @@ fn main() {
                 .iter()
                 .map(|s| s.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>()))
                 .sum::<usize>();
-        let sharded = ShardedSpmm::compile(&plan, D, pool.clone()).expect("shard compile failed");
+        let sharded =
+            MutableSpmm::compile(&a, k, lanes, D, pool.clone()).expect("shard compile failed");
 
         // Correctness first: the stitched result must equal the unsharded
         // engine's, bit for bit.

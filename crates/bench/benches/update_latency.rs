@@ -15,7 +15,7 @@
 //! stdout and machine-readable JSON to `BENCH_update_latency.json`,
 //! including the host core count so archived numbers stay interpretable.
 
-use jitspmm::shard::{plan_shards, ShardedSpmm};
+use jitspmm::shard::plan_shards;
 use jitspmm::{CpuFeatures, MutableSpmm, WorkerPool};
 use jitspmm_bench::{emit_bench_json, fmt_secs, host_cores, json_stats, measure, TextTable};
 use jitspmm_sparse::{generate, DeltaBatch, DenseMatrix};
@@ -84,13 +84,11 @@ fn main() {
         // the merged matrix — what a non-incremental engine pays per delta.
         let merged = engine.merged_matrix();
         let full = measure(reps, || {
-            let plan = plan_shards(&merged, shards, 1).expect("replan");
-            drop(ShardedSpmm::compile(&plan, d, pool.clone()).expect("recompile"));
+            drop(MutableSpmm::compile(&merged, shards, 1, d, pool.clone()).expect("recompile"));
         });
 
         // The updated engine must match the from-scratch compile bit for bit.
-        let check_plan = plan_shards(&merged, shards, 1).expect("plan");
-        let fresh = ShardedSpmm::compile(&check_plan, d, pool.clone()).expect("compile");
+        let fresh = MutableSpmm::compile(&merged, shards, 1, d, pool.clone()).expect("compile");
         let x = DenseMatrix::random(side, d, 7);
         let (y_inc, _) = pool.scope(|s| engine.execute(s, &x)).expect("execute");
         let (y_ref, _) = pool.scope(|s| fresh.execute(s, &x)).expect("execute");

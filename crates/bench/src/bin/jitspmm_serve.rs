@@ -503,6 +503,11 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
             other => return error_frame(&format!("unknown delta op kind {other}")),
         }
     }
+    if delta.is_empty() {
+        // A no-op: the engine would apply it without building a generation,
+        // so the revision it would wait for never arrives.
+        return revision_frame(mutable.revision());
+    }
     let target = mutable.revision() + 1;
     let (_, failed_before) = control.update_counts();
     if !control.apply_update(engine, delta) {
@@ -513,9 +518,7 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         if control.wait_revision(engine, target, Duration::from_millis(50)) {
-            let mut frame = vec![0u8];
-            frame.extend_from_slice(format!("revision={}", mutable.revision()).as_bytes());
-            return frame;
+            return revision_frame(mutable.revision());
         }
         let (_, failed) = control.update_counts();
         if failed > failed_before {
@@ -525,6 +528,13 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
             return error_frame("update not applied before the timeout");
         }
     }
+}
+
+/// The ok reply to an UPDATE frame: the engine's matrix revision.
+fn revision_frame(revision: u64) -> Vec<u8> {
+    let mut frame = vec![0u8];
+    frame.extend_from_slice(format!("revision={revision}").as_bytes());
+    frame
 }
 
 fn mul_reply(response: ServerResponse<f32>, spec: &MatrixSpec) -> Vec<u8> {
@@ -689,5 +699,43 @@ fn run_client(args: &[String]) -> Result<(), String> {
             }
         }
         other => Err(format!("unknown client command {other:?}\n{}", usage())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jitspmm::CpuFeatures;
+
+    #[test]
+    fn zero_op_update_replies_with_the_current_revision_at_once() {
+        let features = CpuFeatures::detect();
+        if !(features.avx && features.has_fma()) {
+            eprintln!("skipping: host lacks AVX/FMA");
+            return;
+        }
+        let pool = WorkerPool::new(2);
+        let matrix = generate::uniform::<f32>(256, 256, 2_000, 3);
+        let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
+        let engine = MutableSpmm::compile(&matrix, 2, 1, 8, pool).unwrap();
+        let id = server.add_mutable(engine).unwrap();
+        let control = server.control();
+        let server_ref = &server;
+        let mut frame = vec![OP_UPDATE];
+        frame.extend_from_slice(&(id as u32).to_le_bytes());
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        let (_, (reply, waited)) = server
+            .serve_controlled(
+                ServeOptions::new(AdmissionPolicy::shedding(4)),
+                move |_sender| {
+                    let started = Instant::now();
+                    let reply = handle_update(&frame, server_ref, &control);
+                    (reply, started.elapsed())
+                },
+                |_| {},
+            )
+            .unwrap();
+        assert_eq!(reply, revision_frame(0), "{}", String::from_utf8_lossy(&reply[1..]));
+        assert!(waited < Duration::from_secs(1), "zero-op update took {waited:?}");
     }
 }

@@ -282,7 +282,7 @@ enum Pending<'scope> {
 /// (the workers dereference its buffer). Owned inputs come from
 /// [`BatchStream::push_owned`]; shared inputs are one request fanned out
 /// across several pipelines at once — the sharded engine
-/// ([`crate::shard::ShardedSpmm`]) pushes one `Arc`'d input into every
+/// ([`crate::MutableSpmm`]) pushes one `Arc`'d input into every
 /// shard's stream, and the input stays alive until the *last* shard joins.
 pub(crate) enum StowedInput<T: Scalar> {
     /// Exclusively owned by this stream's in-flight entry.

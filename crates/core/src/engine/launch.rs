@@ -243,7 +243,7 @@ impl<'a, T: Scalar> JitSpmm<'a, T> {
     /// [`JitSpmm::execute_async`] with raw operand pointers and **no** pooled
     /// output: the launch writes `A.nrows() x d` elements starting at `y`.
     /// This is the stitch-into-range hook for the sharded engine
-    /// ([`crate::shard::ShardedSpmm`]), whose shard kernels write disjoint
+    /// ([`crate::MutableSpmm`]), whose shard kernels write disjoint
     /// row ranges of one shared full-size output — a shard compiled for rows
     /// `start..end` of the full matrix is handed `y_full + start * d` and
     /// its rows land exactly in place, no copy.

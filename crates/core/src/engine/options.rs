@@ -156,7 +156,7 @@ impl JitSpmmBuilder {
     /// Prefer scheduling this engine's launches on NUMA node `node` (see
     /// [`SpmmOptions::numa_node`]). A soft hint — work-conserving claiming
     /// means no worker ever idles to honor it — and a no-op on single-node
-    /// hosts. The sharded engine ([`crate::ShardedSpmm`]) sets this
+    /// hosts. The sharded engine ([`crate::MutableSpmm`]) sets this
     /// automatically, spreading shards round-robin across detected nodes.
     pub fn numa_node(mut self, node: usize) -> Self {
         self.options.numa_node = Some(node);
@@ -174,7 +174,7 @@ impl JitSpmmBuilder {
     }
 
     /// Use an already-opened [`KernelCache`] (shared across engines and with
-    /// [`crate::ShardedSpmm`], so hit statistics aggregate in one place).
+    /// [`crate::MutableSpmm`], so hit statistics aggregate in one place).
     pub fn kernel_cache_in(mut self, cache: Arc<KernelCache>) -> Self {
         self.options.kernel_cache = Some(cache);
         self

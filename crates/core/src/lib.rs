@@ -240,20 +240,23 @@
 //! imbalance), picks a workload-division strategy *per shard* to match its
 //! local sparsity (uniform shards go static, skewed shards get the dynamic
 //! claim loop), and compiles one engine per shard on a shared pool
-//! ([`shard::ShardedSpmm`]). Sharding is **zero-copy**: each shard matrix
-//! is a [`CsrMatrix::share_rows`] view aliasing the parent's
+//! ([`MutableSpmm::compile`] — the crate's one sharded engine type, which
+//! also takes live updates; see below). Sharding is **zero-copy**: each
+//! shard matrix is a [`CsrMatrix::share_rows`] view aliasing the parent's
 //! `col_indices`/`values` buffers, materializing only a rebased `row_ptr`
 //! (O(rows) per shard) — a plan over a billion-nonzero matrix weighs
 //! kilobytes, not gigabytes. Execution launches every shard as an
 //! overlapped lane-capped job — each kernel writing directly into its row
 //! range of one pooled full-height output — and
-//! [`shard::ShardedSpmm::execute_batch`] pipelines whole batches through
+//! [`MutableSpmm::execute_batch`] pipelines whole batches through
 //! per-shard streams, stitching completed inputs with one contiguous copy
 //! per shard. Results are bit-identical to the unsharded engine's, and a
 //! [`shard::ShardReport`] breaks kernel/dispatch tails down per shard. A
 //! sharded engine registers with the serving router behind one logical id
-//! ([`serve::SpmmServer::add_sharded`]), so mixed streams can target huge
-//! sharded matrices and small single-engine ones uniformly.
+//! ([`serve::SpmmServer::add_mutable`]), so mixed streams can target huge
+//! sharded matrices and small single-engine ones uniformly. The router
+//! knows exactly two engine kinds: single ([`JitSpmm`]) and sharded
+//! ([`MutableSpmm`]).
 //!
 //! # Adaptive kernel tiering
 //!
@@ -336,9 +339,9 @@
 //! ([`NumaTopology::detect`] — single-node fallback everywhere else), pins
 //! workers round-robin across nodes, and honors a **soft node preference**
 //! per job: [`JitSpmmBuilder::numa_node`] stamps it on an engine's
-//! launches, and [`shard::ShardedSpmm`] assigns shards contiguously across
-//! nodes automatically, first-touching each shard's rows of a fresh output
-//! on its node so kernel, CSR slice and output pages share a memory
+//! launches, and a sharded [`MutableSpmm`] assigns shards contiguously
+//! across nodes automatically, first-touching each shard's rows of a fresh
+//! output on its node so kernel, CSR slice and output pages share a memory
 //! controller. Preferences never idle a worker: claiming stays
 //! work-conserving, so a mismatched job is still picked up when nothing
 //! local is queued. Independently, the park/wake handoff between submitters
@@ -413,7 +416,7 @@
 //! ├── update/            incremental matrix updates behind live serving
 //! │   ├── delta          delta routing onto shard row ranges
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
-//! │   └── (mod)          MutableSpmm generations, MutableStream revision pinning
+//! │   └── (mod)          MutableSpmm: the sharded engine, generations, MutableStream
 //! ├── serve/             multi-engine serving router + control plane
 //! │   ├── server         SpmmServer, ServerSession, serve_controlled loop
 //! │   ├── queue          bounded RequestQueue / RequestSender, admission gate
@@ -422,8 +425,8 @@
 //! │   └── report         ServerReport (per-engine tails + verdict counters)
 //! ├── shard/             nnz-balanced multi-engine sharding
 //! │   ├── plan           plan_shards: prefix-sum cuts, per-shard strategies
-//! │   ├── engine         ShardedSpmm: K engines, overlapped stitched launches
-//! │   ├── stream         ShardedStream: lockstep pipelined shard batches
+//! │   ├── engine         one generation: K engines, overlapped stitched launches
+//! │   ├── stream         one generation's lockstep pipelined shard batches
 //! │   └── report         ShardReport (per-shard + merged critical path)
 //! ├── runtime/           persistent execution substrate
 //! │   ├── pool           WorkerPool: FIFO job queue, lane caps, scopes, node claiming
@@ -478,9 +481,7 @@ pub use serve::{
     RequestQueue, RequestSender, SendError, ServeOptions, ServerReport, ServerRequest,
     ServerResponse, ServerSession, SpmmServer,
 };
-pub use shard::{
-    plan_shards, ShardOptions, ShardPlan, ShardReport, ShardSpec, ShardedSpmm, ShardedStream,
-};
+pub use shard::{plan_shards, ShardOptions, ShardPlan, ShardReport, ShardSpec};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};
 pub use update::{MutableSpmm, MutableStream, UpdateReport};
 

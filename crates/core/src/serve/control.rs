@@ -599,16 +599,17 @@ impl ControlHandle {
         self.shared.cap_blocked_count()
     }
 
-    /// Queue an edge-delta update for the **mutable** engine `engine` (one
-    /// registered via [`crate::serve::SpmmServer::add_mutable`]) on a live
-    /// server. Returns `false` for an unknown engine id; otherwise the next
+    /// Queue an edge-delta update for the sharded engine `engine` (a
+    /// [`crate::MutableSpmm`] registered via
+    /// [`crate::serve::SpmmServer::add_mutable`]) on a live server. Returns `false` for an unknown engine id; otherwise the next
     /// serving-session pass applies it **between launches**: the engine's
     /// in-flight lane drains on the old kernels, the touched shards rebuild
     /// ([`crate::update::MutableSpmm::apply`]), and requests admitted
     /// afterwards execute against the merged matrix — bit-identically to a
-    /// from-scratch compile. Updates targeting a non-mutable engine, or
-    /// carrying a different scalar type than the server's, are counted as
-    /// failed and dropped.
+    /// from-scratch compile. Updates targeting a single engine, or carrying
+    /// a different scalar type than the server's, are counted as failed and
+    /// dropped. An empty delta is a no-op that counts as applied without
+    /// advancing the revision.
     ///
     /// Asynchronous by design: pair with [`ControlHandle::wait_revision`]
     /// (or poll [`ControlHandle::engine_revision`]) to observe the swap.

@@ -6,8 +6,8 @@
 //! The paper's premise is that JIT compilation is amortized across many
 //! executions of one kernel; a serving system amortizes it one level up,
 //! across many *kernels* sharing one runtime. An [`SpmmServer`] owns N
-//! compiled [`crate::JitSpmm`] engines — different matrices, column counts
-//! and strategies — and accepts a mixed stream of owned requests, each
+//! compiled engines — different matrices, column counts and strategies —
+//! and accepts a mixed stream of owned requests, each
 //! tagged with the id of the engine that should execute it:
 //!
 //! * every request is validated (engine id, input shape) **before** any
@@ -28,13 +28,17 @@
 //!   layer uses) plus whole-server throughput and the control plane's
 //!   rejected/shed counters.
 //!
-//! Sharded engines ([`crate::shard::ShardedSpmm`]) register behind one
-//! logical engine id via [`SpmmServer::add_sharded`]: the router fans each
-//! of their requests across the shard pipelines, stitches the shard outputs
-//! into one full-height response, and reports the merged critical-path
-//! timing in that engine's [`crate::BatchReport`] slot — routing,
-//! submission-order collection and [`ServerReport`] aggregation are
-//! unchanged.
+//! An engine is one of exactly two kinds. A **single** engine is a
+//! [`crate::JitSpmm`] ([`SpmmServer::new`] / [`SpmmServer::add_engine`]). A
+//! **sharded** engine is a [`crate::MutableSpmm`]
+//! ([`SpmmServer::add_mutable`]), registered behind one logical engine id:
+//! the router fans each of its requests across the shard pipelines,
+//! stitches the shard outputs into one full-height response, and reports
+//! the merged critical-path timing in that engine's [`crate::BatchReport`]
+//! slot — routing, submission-order collection and [`ServerReport`]
+//! aggregation are unchanged. A sharded engine's matrix can also change
+//! mid-session ([`ControlHandle::apply_update`]); one that never receives
+//! an update serves as a frozen sharded engine.
 //!
 //! # The serving control plane
 //!
@@ -58,7 +62,7 @@
 //!   ([`RejectReason::DeadlinePassed`], counted in
 //!   [`ServerReport::shed_deadline`]).
 //! * **Dynamic topology** — [`SpmmServer::add_engine`] /
-//!   [`SpmmServer::add_sharded`] register engines while sessions are open;
+//!   [`SpmmServer::add_mutable`] register engines while sessions are open;
 //!   [`SpmmServer::retire_engine`] drains an engine out of service without
 //!   disturbing the others; [`ControlHandle::drain`] is a barrier that
 //!   stops admission and waits until every admitted request has been

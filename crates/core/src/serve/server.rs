@@ -16,7 +16,6 @@ use crate::serve::control::{
 };
 use crate::serve::queue::{RecvTimeout, RequestQueue, RequestSender, ServerRequest};
 use crate::serve::report::ServerReport;
-use crate::shard::{ShardedSpmm, ShardedStream};
 use crate::update::{MutableSpmm, MutableStream};
 use jitspmm_sparse::{DeltaBatch, DenseMatrix, Scalar};
 use std::collections::VecDeque;
@@ -24,22 +23,22 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One registered engine: single or sharded, behind one logical id. The
-/// `Arc` pins the engine's address so [`SpmmServer::single`] can hand out
-/// borrows while the registry vector grows behind its mutex.
+/// One registered engine behind one logical id: a single [`JitSpmm`] or a
+/// sharded [`MutableSpmm`]. The `Arc` pins the engine's address so
+/// [`SpmmServer::single`] / [`SpmmServer::mutable`] can hand out borrows
+/// while the registry vector grows behind its mutex.
 enum EngineEntry<'a, T: Scalar> {
     Single(Arc<JitSpmm<'a, T>>),
-    Sharded(Arc<ShardedSpmm<'a, T>>),
-    /// An updatable engine ([`MutableSpmm`]): owns its matrix generations,
-    /// so it carries no borrow lifetime; live deltas swap its generation
-    /// between launches via [`ControlHandle::apply_update`].
+    /// A sharded engine: owns its matrix generations, so it carries no
+    /// borrow lifetime; live deltas swap its generation between launches
+    /// via [`ControlHandle::apply_update`].
     Mutable(Arc<MutableSpmm<T>>),
 }
 
-/// A multi-engine serving router: owns N compiled [`JitSpmm`] engines —
-/// different matrices, column counts, strategies — that share one
-/// [`WorkerPool`], and routes a mixed stream of engine-tagged requests to
-/// their per-engine batch pipelines.
+/// A multi-engine serving router: owns N compiled engines — single
+/// [`JitSpmm`]s or sharded [`MutableSpmm`]s over different matrices, column
+/// counts, strategies — that share one [`WorkerPool`], and routes a mixed
+/// stream of engine-tagged requests to their per-engine batch pipelines.
 ///
 /// Each engine's launches are lane-capped to its configured thread count, so
 /// requests for different engines execute **concurrently on disjoint worker
@@ -147,9 +146,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 
     /// Build a server with **no** engines yet, over `pool`: register them
-    /// afterwards with [`SpmmServer::add_engine`] /
-    /// [`SpmmServer::add_sharded`] / [`SpmmServer::add_mutable`] — before or
-    /// after sessions open. Until an engine is registered every request is
+    /// afterwards with [`SpmmServer::add_engine`] (single engines) or
+    /// [`SpmmServer::add_mutable`] (sharded engines) — before or after
+    /// sessions open. Until an engine is registered every request is
     /// rejected with [`JitSpmmError::UnknownEngine`] (or the typed
     /// [`RejectReason::UnknownEngine`] on the controlled path).
     pub fn with_pool(pool: WorkerPool) -> SpmmServer<'a, T> {
@@ -204,57 +203,13 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         self.add_engine(engine)
     }
 
-    /// Register a sharded engine ([`ShardedSpmm`]) behind **one logical
-    /// engine id**, which this returns. To the routing layer a sharded
-    /// engine is indistinguishable from a single one: requests tag the
-    /// returned id, responses come back in per-engine submission order with
-    /// stitched full-height outputs, and the [`ServerReport`] carries the
-    /// sharded engine's merged [`crate::BatchReport`] in its per-engine
-    /// slot. Like [`SpmmServer::add_engine`], this works while sessions are
-    /// open.
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::InvalidConfig`] if the sharded engine does not
-    /// execute on this server's pool (checked via
-    /// [`WorkerPool::same_pool`], like every engine at construction).
-    pub fn add_sharded(&self, sharded: ShardedSpmm<'a, T>) -> Result<usize, JitSpmmError> {
-        if !sharded.pool().same_pool(&self.pool) {
-            return Err(JitSpmmError::InvalidConfig(
-                "the sharded engine executes on a different worker pool; all of a server's \
-                 engines must share one pool"
-                    .to_string(),
-            ));
-        }
-        let mut engines = lock(&self.engines);
-        engines.push(EngineEntry::Sharded(Arc::new(sharded)));
-        let id = engines.len() - 1;
-        let registered = self.control.register_engine();
-        debug_assert_eq!(registered, id, "registry and control plane use one id space");
-        Ok(id)
-    }
-
-    /// [`SpmmServer::add_sharded`] with explicit NUMA placement: re-pins
-    /// every shard engine's hint ([`ShardedSpmm::place_on_node`]) to `node`
-    /// before registration, overriding the automatic contiguous spread.
-    ///
-    /// # Errors
-    ///
-    /// As [`SpmmServer::add_sharded`].
-    pub fn add_sharded_on_node(
-        &self,
-        mut sharded: ShardedSpmm<'a, T>,
-        node: Option<usize>,
-    ) -> Result<usize, JitSpmmError> {
-        sharded.place_on_node(node);
-        self.add_sharded(sharded)
-    }
-
-    /// Register an **updatable** engine ([`MutableSpmm`]) behind one
-    /// logical engine id, which this returns. To the routing layer it
-    /// serves exactly like a sharded engine — stitched full-height outputs,
-    /// per-engine submission order — but its matrix can change while the
-    /// server runs: queue a [`DeltaBatch`] through
+    /// Register a sharded engine ([`MutableSpmm`]) behind **one logical
+    /// engine id**, which this returns. To the routing layer it is
+    /// indistinguishable from a single engine: requests tag the returned
+    /// id, responses come back in per-engine submission order with stitched
+    /// full-height outputs, and the [`ServerReport`] carries the engine's
+    /// merged [`crate::BatchReport`] in its per-engine slot. Its matrix can
+    /// also change while the server runs: queue a [`DeltaBatch`] through
     /// [`ControlHandle::apply_update`] and the serving loop swaps the
     /// engine's generation between launches (see [`crate::update`]). Like
     /// [`SpmmServer::add_engine`], this works while sessions are open.
@@ -262,7 +217,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// # Errors
     ///
     /// [`JitSpmmError::InvalidConfig`] if the engine does not execute on
-    /// this server's pool.
+    /// this server's pool (checked via [`WorkerPool::same_pool`], like
+    /// every engine at construction).
     pub fn add_mutable(&self, mutable: MutableSpmm<T>) -> Result<usize, JitSpmmError> {
         if !mutable.pool().same_pool(&self.pool) {
             return Err(JitSpmmError::InvalidConfig(
@@ -303,8 +259,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 
     /// Borrow the single (unsharded) engine behind logical id `id`; `None`
-    /// if the id is unknown or names a sharded engine. Retired engines are
-    /// still borrowable — retirement stops *serving*, not inspection.
+    /// if the id is unknown or names a sharded engine
+    /// ([`SpmmServer::mutable`]). Retired engines are still borrowable —
+    /// retirement stops *serving*, not inspection.
     pub fn single(&self, id: usize) -> Option<&JitSpmm<'a, T>> {
         let engines = lock(&self.engines);
         match engines.get(id)? {
@@ -322,23 +279,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         }
     }
 
-    /// Borrow the sharded engine behind logical id `id`; `None` if the id
-    /// is unknown or names a single engine.
-    pub fn sharded(&self, id: usize) -> Option<&ShardedSpmm<'a, T>> {
-        let engines = lock(&self.engines);
-        match engines.get(id)? {
-            EngineEntry::Sharded(sharded) => {
-                let ptr = Arc::as_ptr(sharded);
-                // SAFETY: as in [`SpmmServer::single`] — append-only
-                // registry, Arc-pinned pointee, borrow tied to `&self`.
-                Some(unsafe { &*ptr })
-            }
-            _ => None,
-        }
-    }
-
-    /// Borrow the updatable engine ([`MutableSpmm`]) behind logical id
-    /// `id`; `None` if the id is unknown or names a non-updatable engine.
+    /// Borrow the sharded engine ([`MutableSpmm`]) behind logical id `id`;
+    /// `None` if the id is unknown or names a single engine.
     pub fn mutable(&self, id: usize) -> Option<&MutableSpmm<T>> {
         let engines = lock(&self.engines);
         match engines.get(id)? {
@@ -352,8 +294,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         }
     }
 
-    /// Total number of logical engine ids (single, sharded or mutable,
-    /// whatever their lifecycle state).
+    /// Total number of logical engine ids (single or sharded, whatever
+    /// their lifecycle state).
     pub fn engine_count(&self) -> usize {
         lock(&self.engines).len()
     }
@@ -379,7 +321,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     pub(crate) fn engine_strategy(&self, id: usize) -> Option<Strategy> {
         self.with_entry(id, |entry| match entry {
             EngineEntry::Single(engine) => engine.strategy(),
-            EngineEntry::Sharded(sharded) => sharded.dominant_strategy(),
             EngineEntry::Mutable(mutable) => mutable.dominant_strategy(),
         })
     }
@@ -389,7 +330,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     pub(crate) fn engine_tier_info(&self, id: usize) -> Option<(KernelTier, usize)> {
         self.with_entry(id, |entry| match entry {
             EngineEntry::Single(engine) => (engine.tier(), engine.promotions()),
-            EngineEntry::Sharded(sharded) => (sharded.tier(), sharded.promotions()),
             EngineEntry::Mutable(mutable) => (mutable.tier(), mutable.promotions()),
         })
     }
@@ -401,23 +341,16 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     pub(crate) fn tier_recompile_entry(&self, id: usize, shard: Option<usize>) {
         enum Target<'a, T: Scalar> {
             Single(Arc<JitSpmm<'a, T>>),
-            Sharded(Arc<ShardedSpmm<'a, T>>),
             Mutable(Arc<MutableSpmm<T>>),
         }
         // Clone the Arc out so code generation runs outside the registry
         // lock.
         let target = self.with_entry(id, |entry| match entry {
             EngineEntry::Single(engine) => Target::Single(Arc::clone(engine)),
-            EngineEntry::Sharded(sharded) => Target::Sharded(Arc::clone(sharded)),
             EngineEntry::Mutable(mutable) => Target::Mutable(Arc::clone(mutable)),
         });
         match target {
             Some(Target::Single(engine)) => engine.tier_recompile(),
-            Some(Target::Sharded(sharded)) => {
-                if let Some(engine) = sharded.engines().get(shard.unwrap_or(0)) {
-                    engine.tier_recompile();
-                }
-            }
             Some(Target::Mutable(mutable)) => mutable.tier_recompile_shard(shard.unwrap_or(0)),
             None => {}
         }
@@ -431,7 +364,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     ) -> Result<(), JitSpmmError> {
         match self.with_entry(id, |entry| match entry {
             EngineEntry::Single(engine) => engine.check_input_shape(input),
-            EngineEntry::Sharded(sharded) => sharded.check_input_shape(input),
             EngineEntry::Mutable(mutable) => mutable.check_input_shape(input),
         }) {
             Some(result) => result,
@@ -553,7 +485,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             if count > 0 {
                 self.with_entry(id, |entry| match entry {
                     EngineEntry::Single(engine) => engine.reserve_outputs(count),
-                    EngineEntry::Sharded(sharded) => sharded.reserve_outputs(count),
                     EngineEntry::Mutable(mutable) => mutable.reserve_outputs(count),
                 });
             }
@@ -1114,7 +1045,7 @@ impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
 
 /// An open serving session, created by [`SpmmServer::session`]: one lane
 /// per logical engine — a [`BatchStream`] for single engines, a
-/// [`ShardedStream`] for sharded ones — plus the request bookkeeping that
+/// [`MutableStream`] for sharded ones — plus the request bookkeeping that
 /// tags every response with its engine id and sequence numbers, and the
 /// control-plane hooks ([`ServerSession::apply_control`], fault
 /// containment) the controlled serving loop drives.
@@ -1242,8 +1173,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         }
         let stream = if let Some(engine) = self.server.single(id) {
             RouteStream::Single(engine.batch_stream(self.scope, self.depth)?)
-        } else if let Some(sharded) = self.server.sharded(id) {
-            RouteStream::Sharded(sharded.batch_stream(self.scope, self.depth)?)
         } else if let Some(mutable) = self.server.mutable(id) {
             // The stream pins the engine's current generation (a read
             // guard): a queued update waits until this lane recycles.
@@ -1475,12 +1404,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
             }
             let Some(actions) = self.server.with_entry(id, |entry| match entry {
                 EngineEntry::Single(engine) => vec![(None, engine.tier_poll())],
-                EngineEntry::Sharded(sharded) => sharded
-                    .engines()
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, engine)| (Some(shard), engine.tier_poll()))
-                    .collect::<Vec<_>>(),
                 EngineEntry::Mutable(mutable) => mutable
                     .tier_actions()
                     .into_iter()
@@ -1509,10 +1432,6 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
                             .server
                             .with_entry(id, |entry| match entry {
                                 EngineEntry::Single(engine) => engine.tier_try_install(),
-                                EngineEntry::Sharded(sharded) => sharded
-                                    .engines()
-                                    .get(shard.unwrap_or(0))
-                                    .is_some_and(|engine| engine.tier_try_install()),
                                 EngineEntry::Mutable(mutable) => {
                                     mutable.tier_try_install_shard(shard.unwrap_or(0))
                                 }
@@ -1811,17 +1730,16 @@ impl<T: Scalar> Drop for ServerSession<'_, '_, '_, T> {
 }
 
 /// One logical engine's pipeline inside a [`ServerSession`]: a plain
-/// [`BatchStream`] for single engines, a [`ShardedStream`] (one pipeline
+/// [`BatchStream`] for single engines, a [`MutableStream`] (one pipeline
 /// per shard, stitched outputs) for sharded ones. Both return completed
 /// results as `(output, report)` pairs in submission order, which is all
 /// the session's bookkeeping relies on.
 enum RouteStream<'scope, 'env, T: Scalar> {
     /// A single compiled engine's pipeline.
     Single(BatchStream<'scope, 'env, T>),
-    /// A sharded engine's lockstep shard pipelines.
-    Sharded(ShardedStream<'scope, 'env, T>),
-    /// A mutable engine's pipeline, pinned to one matrix generation for the
-    /// stream's lifetime (queued updates apply when the lane recycles).
+    /// A sharded engine's lockstep shard pipelines, pinned to one matrix
+    /// generation for the stream's lifetime (queued updates apply when the
+    /// lane recycles).
     Mutable(MutableStream<'scope, 'env, T>),
 }
 
@@ -1829,7 +1747,6 @@ impl<T: Scalar> RouteStream<'_, '_, T> {
     fn in_flight(&self) -> usize {
         match self {
             RouteStream::Single(s) => s.in_flight(),
-            RouteStream::Sharded(s) => s.in_flight(),
             RouteStream::Mutable(s) => s.in_flight(),
         }
     }
@@ -1838,7 +1755,6 @@ impl<T: Scalar> RouteStream<'_, '_, T> {
     fn depth(&self) -> usize {
         match self {
             RouteStream::Single(s) => s.depth(),
-            RouteStream::Sharded(s) => s.depth(),
             RouteStream::Mutable(s) => s.depth(),
         }
     }
@@ -1847,11 +1763,11 @@ impl<T: Scalar> RouteStream<'_, '_, T> {
         self.in_flight() == self.depth()
     }
 
-    /// Whether a worker panic poisons the whole lane: true for any
-    /// shard-fanned pipeline (sharded or mutable), where the panicking
-    /// input's sibling shard outputs are unrecoverable.
+    /// Whether a worker panic poisons the whole lane: true for a
+    /// shard-fanned pipeline, where the panicking input's sibling shard
+    /// outputs are unrecoverable.
     fn is_sharded(&self) -> bool {
-        matches!(self, RouteStream::Sharded(_) | RouteStream::Mutable(_))
+        matches!(self, RouteStream::Mutable(_))
     }
 
     /// Push one owned input (fanned out by shared handle for sharded
@@ -1861,7 +1777,6 @@ impl<T: Scalar> RouteStream<'_, '_, T> {
             RouteStream::Single(s) => s.push_owned_validated(input),
             // One owned request, fanned out to every shard pipeline: each
             // holds an `Arc` clone until its own launch joins.
-            RouteStream::Sharded(s) => s.push_shared_validated(Arc::new(input)),
             RouteStream::Mutable(s) => s.push_shared_validated(Arc::new(input)),
         }
     }
@@ -1870,7 +1785,6 @@ impl<T: Scalar> RouteStream<'_, '_, T> {
     fn complete_next(&mut self) -> Option<(PooledMatrix<T>, ExecutionReport)> {
         match self {
             RouteStream::Single(s) => s.complete_next(),
-            RouteStream::Sharded(s) => s.complete_next(),
             RouteStream::Mutable(s) => s.complete_next(),
         }
     }
@@ -1881,10 +1795,6 @@ impl<T: Scalar> RouteStream<'_, '_, T> {
     fn finish_report(self) -> (Vec<(PooledMatrix<T>, ExecutionReport)>, BatchReport) {
         match self {
             RouteStream::Single(s) => s.finish(),
-            RouteStream::Sharded(s) => {
-                let (rest, shard_report) = s.finish();
-                (rest, shard_report.merged)
-            }
             RouteStream::Mutable(s) => {
                 let (rest, shard_report) = s.finish();
                 (rest, shard_report.merged)

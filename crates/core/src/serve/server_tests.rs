@@ -296,13 +296,12 @@ fn sharded_engine_serves_behind_one_logical_id() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
-    use crate::shard::{plan_shards, ShardedSpmm};
+    use crate::update::MutableSpmm;
     let small = generate::uniform::<f32>(90, 70, 700, 21);
     let big = generate::rmat::<f32>(9, 8_000, generate::RmatConfig::GRAPH500, 22);
     let pool = WorkerPool::new(2);
     let single = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&small, 4).unwrap();
-    let plan = plan_shards(&big, 3, 1).unwrap();
-    let sharded = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&big, 3, 1, 8, pool.clone()).unwrap();
     // References before the server takes ownership.
     let single_inputs: Vec<DenseMatrix<f32>> =
         (0..4).map(|i| input_for(&small, 4, 600 + i)).collect();
@@ -316,13 +315,12 @@ fn sharded_engine_serves_behind_one_logical_id() {
         .collect();
 
     let server = SpmmServer::new(vec![single]).unwrap();
-    let sharded_id = server.add_sharded(sharded).unwrap();
+    let sharded_id = server.add_mutable(sharded).unwrap();
     assert_eq!(sharded_id, 1);
     assert_eq!(server.engine_count(), 2);
     // A sharded engine on a foreign pool is refused.
-    let foreign_plan = plan_shards(&big, 2, 1).unwrap();
-    let foreign = ShardedSpmm::compile(&foreign_plan, 8, WorkerPool::new(1)).unwrap();
-    assert!(matches!(server.add_sharded(foreign).unwrap_err(), JitSpmmError::InvalidConfig(_)));
+    let foreign = MutableSpmm::compile(&big, 2, 1, 8, WorkerPool::new(1)).unwrap();
+    assert!(matches!(server.add_mutable(foreign).unwrap_err(), JitSpmmError::InvalidConfig(_)));
 
     // An interleaved mixed stream across both ids.
     let requests: Vec<ServerRequest<f32>> = (0..8)

@@ -1,6 +1,7 @@
-//! The [`ShardedSpmm`] engine: one JIT-compiled [`JitSpmm`] per shard of a
-//! [`ShardPlan`], executing as overlapped lane-capped launches on a shared
-//! [`WorkerPool`], with shard outputs stitched into full-height results.
+//! The sharded engine behind one [`crate::MutableSpmm`] generation: one
+//! JIT-compiled [`JitSpmm`] per shard of a [`ShardPlan`], executing as
+//! overlapped lane-capped launches on a shared [`WorkerPool`], with shard
+//! outputs stitched into full-height results.
 
 use crate::cache::KernelCache;
 use crate::engine::{ExecutionHandle, JitSpmm, JitSpmmBuilder, KernelTier, TierPolicy};
@@ -16,8 +17,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Cross-cutting options for compiling a sharded engine
-/// ([`ShardedSpmm::compile_with`]): tiering, the persistent kernel cache,
-/// and explicit NUMA placement.
+/// ([`crate::MutableSpmm::compile_with`]): tiering, the persistent kernel
+/// cache, and explicit NUMA placement. Every generation an update builds
+/// compiles under the same options.
 #[derive(Debug, Clone, Default)]
 pub struct ShardOptions {
     /// Adaptive tiering policy; every shard engine promotes independently.
@@ -57,23 +59,13 @@ impl ShardOptions {
     }
 }
 
-/// A sharded SpMM engine: K independently compiled [`JitSpmm`] engines —
-/// one per row shard of a [`ShardPlan`] — sharing one [`WorkerPool`].
-///
-/// A single engine is bounded by one launch pipeline and one partition of
-/// one CSR; a huge matrix sharded into K nnz-balanced row ranges gets K
-/// kernels that compile independently (each specialized to its shard's
-/// local sparsity, with its own workload-division strategy) and launch as
-/// **overlapped, lane-capped jobs on disjoint worker subsets**, the same
-/// overlap discipline the serving router uses across heterogeneous engines.
-/// Shard kernels write directly into their row range of one full-height
-/// pooled output ([`ShardedSpmm::execute`]) or produce per-shard pooled
-/// outputs that are stitched by one contiguous copy per shard
-/// ([`ShardedSpmm::execute_batch`]); either way steady-state execution
-/// performs no per-call buffer allocation.
+/// One sharded compile: K independently compiled [`JitSpmm`] engines —
+/// one per row shard of a [`ShardPlan`] — sharing one [`WorkerPool`]. The
+/// building block of a [`crate::MutableSpmm`] generation, whose docs
+/// describe the execution model; sharded execution is reached through it:
 ///
 /// ```
-/// use jitspmm::shard::{plan_shards, ShardedSpmm};
+/// use jitspmm::update::MutableSpmm;
 /// use jitspmm::WorkerPool;
 /// use jitspmm_sparse::{generate, DenseMatrix};
 ///
@@ -81,8 +73,7 @@ impl ShardOptions {
 /// let pool = WorkerPool::new(2);
 /// let a = generate::rmat::<f32>(10, 20_000, generate::RmatConfig::GRAPH500, 1);
 /// // Two nnz-balanced shards, one worker lane each.
-/// let plan = plan_shards(&a, 2, 1)?;
-/// let sharded = ShardedSpmm::compile(&plan, 8, pool.clone())?;
+/// let sharded = MutableSpmm::compile(&a, 2, 1, 8, pool.clone())?;
 /// let x = DenseMatrix::random(a.ncols(), 8, 3);
 /// let (y, report) = pool.scope(|scope| sharded.execute(scope, &x))?;
 /// assert!(y.approx_eq(&a.spmm_reference(&x), 1e-4));
@@ -91,78 +82,50 @@ impl ShardOptions {
 /// # Ok(())
 /// # }
 /// ```
-pub struct ShardedSpmm<'a, T: Scalar> {
-    plan: &'a ShardPlan<T>,
+pub(crate) struct ShardedSpmm<'a, T: Scalar> {
+    pub(super) plan: &'a ShardPlan<T>,
     /// One engine per shard, in row order.
     engines: Vec<JitSpmm<'a, T>>,
     pool: WorkerPool,
-    d: usize,
+    pub(super) d: usize,
     /// Recycles full-height outputs, exactly like a single engine's pool.
     output_pool: Arc<BufferPool<T>>,
 }
 
-impl<T: Scalar> std::fmt::Debug for ShardedSpmm<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSpmm")
-            .field("shards", &self.engines.len())
-            .field("d", &self.d)
-            .field("pool_workers", &self.pool.size())
-            .field("nnz_imbalance", &self.plan.nnz_imbalance())
-            .finish()
-    }
-}
-
 impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// Compile one engine per shard of `plan` for `d` dense columns, all
-    /// executing on `pool`. Each shard engine uses the plan's per-shard
-    /// strategy and is lane-capped to [`ShardPlan::lanes`] workers, so the
-    /// K shard launches of one execute overlap on disjoint subsets of the
-    /// shared pool.
+    /// executing on `pool` under `options`. Each shard engine uses the
+    /// plan's per-shard strategy and is lane-capped to [`ShardPlan::lanes`]
+    /// workers, so the K shard launches of one execute overlap on disjoint
+    /// subsets of the shared pool; a shared kernel cache keys each shard by
+    /// its own matrix fingerprint, so a restart warm-starts all K shards.
+    ///
+    /// Shard `k` with `donors[k] == Some(engine)` is **adopted** instead:
+    /// its compiled core is shared pointer-identically from the donor
+    /// ([`JitSpmm::adopt`]) and the cache entry (when one is configured) is
+    /// probed so live shards register as hits and keep their mtime fresh
+    /// against LRU eviction. An empty `donors` compiles every shard fresh.
+    /// The caller owns the adoption contract: each donor's matrix must be
+    /// content-identical to the corresponding spec's, and the donor's data
+    /// must outlive the new engine.
+    ///
+    /// `output_pool` recycles full-height outputs; the update path hands
+    /// the previous generation's pool across the swap, so a live server
+    /// keeps recycling its outputs through an update.
     ///
     /// # Errors
     ///
     /// [`JitSpmmError::EmptyDenseMatrix`] if `d` is zero, or a codegen
-    /// error if any shard kernel fails to compile.
-    pub fn compile(
+    /// error if any freshly compiled shard kernel fails.
+    pub(crate) fn compile(
         plan: &'a ShardPlan<T>,
         d: usize,
         pool: WorkerPool,
+        options: &ShardOptions,
+        donors: &[Option<&JitSpmm<'_, T>>],
+        output_pool: Arc<BufferPool<T>>,
     ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        ShardedSpmm::compile_with(plan, d, pool, ShardOptions::new())
-    }
-
-    /// [`ShardedSpmm::compile`] with adaptive tiering: every shard engine
-    /// starts on a cheap scalar tier-0 kernel and promotes independently
-    /// under `policy` (see [`crate::engine::tier`]) — shards promote *per
-    /// shard*, so a straggler shard's recompile never holds back the others.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSpmm::compile`].
-    pub fn compile_tiered(
-        plan: &'a ShardPlan<T>,
-        d: usize,
-        pool: WorkerPool,
-        policy: TierPolicy,
-    ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        ShardedSpmm::compile_with(plan, d, pool, ShardOptions::new().tiered(policy))
-    }
-
-    /// [`ShardedSpmm::compile`] with the full option set ([`ShardOptions`]):
-    /// tiering, a shared persistent kernel cache (each shard's kernel is
-    /// keyed by its own matrix fingerprint, so a restarted process
-    /// warm-starts all K shards without codegen), and explicit NUMA
-    /// placement.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSpmm::compile`].
-    pub fn compile_with(
-        plan: &'a ShardPlan<T>,
-        d: usize,
-        pool: WorkerPool,
-        options: ShardOptions,
-    ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
+        debug_assert!(donors.is_empty() || donors.len() == plan.len());
         // On a multi-node host, spread shards contiguously across NUMA nodes
         // (shard k of K prefers node k*N/K): shards are row-contiguous, so
         // contiguous assignment keeps each node's workers walking one
@@ -171,79 +134,13 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
         // An explicit `ShardOptions::numa_node` overrides the spread.
         let topology = NumaTopology::detect();
         let nodes = topology.is_multi_node().then(|| topology.num_nodes());
-        let shard_count = plan.shards().len();
+        let shard_count = plan.len();
         let engines: Vec<JitSpmm<'a, T>> = plan
             .shards()
             .iter()
             .enumerate()
             .map(|(k, spec)| {
-                let mut builder = JitSpmmBuilder::new()
-                    .pool(pool.clone())
-                    .threads(plan.lanes())
-                    .strategy(spec.strategy);
-                if let Some(policy) = options.tier {
-                    builder = builder.tiered(policy);
-                }
-                if let Some(cache) = &options.kernel_cache {
-                    builder = builder.kernel_cache_in(Arc::clone(cache));
-                }
-                if let Some(node) = options.numa_node {
-                    builder = builder.numa_node(node);
-                } else if let Some(n) = nodes {
-                    builder = builder.numa_node(k * n / shard_count.max(1));
-                }
-                builder.build(&spec.matrix, d)
-            })
-            .collect::<Result<_, _>>()?;
-        // The one-pool invariant (the disjoint-lane overlap only holds
-        // within one pool) is true by construction here — every builder was
-        // handed a clone of `pool` — so it is asserted, not returned as an
-        // error. The boundary where foreign pools can actually arrive is
-        // [`crate::serve::SpmmServer::add_sharded`], which does the real
-        // [`WorkerPool::same_pool`] check.
-        debug_assert!(engines.iter().all(|e| e.pool().same_pool(&pool)));
-        Ok(ShardedSpmm { plan, engines, pool, d, output_pool: Arc::new(BufferPool::new()) })
-    }
-
-    /// [`ShardedSpmm::compile_with`] for the incremental-update path
-    /// ([`crate::update`]): shard `k` with `donors[k] == Some(engine)` is
-    /// **adopted** — its compiled core is shared pointer-identically from
-    /// the donor ([`JitSpmm::adopt`]) instead of recompiled, and the shared
-    /// kernel cache entry (when one is configured) is probed so live shards
-    /// register as hits and keep their mtime fresh against LRU eviction.
-    /// Shards with `donors[k] == None` compile fresh exactly as
-    /// [`ShardedSpmm::compile_with`] would, consulting the cache per shard.
-    ///
-    /// `output_pool` carries the previous generation's full-height buffer
-    /// pool across the swap, so a live server keeps recycling its outputs
-    /// through an update instead of re-allocating.
-    ///
-    /// The caller owns the adoption contract: each donor's matrix must be
-    /// content-identical to the corresponding spec's, and the donor's data
-    /// must outlive the new engine (see [`JitSpmm::adopt`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedSpmm::compile_with`], for the freshly compiled shards.
-    pub(crate) fn compile_with_reuse(
-        plan: &'a ShardPlan<T>,
-        d: usize,
-        pool: WorkerPool,
-        options: &ShardOptions,
-        donors: &[Option<&JitSpmm<'_, T>>],
-        output_pool: Arc<BufferPool<T>>,
-    ) -> Result<ShardedSpmm<'a, T>, JitSpmmError> {
-        debug_assert_eq!(donors.len(), plan.shards().len());
-        let topology = NumaTopology::detect();
-        let nodes = topology.is_multi_node().then(|| topology.num_nodes());
-        let shard_count = plan.shards().len();
-        let engines: Vec<JitSpmm<'a, T>> = plan
-            .shards()
-            .iter()
-            .zip(donors)
-            .enumerate()
-            .map(|(k, (spec, donor))| {
-                if let Some(donor) = donor {
+                if let Some(donor) = donors.get(k).copied().flatten() {
                     let engine = JitSpmm::adopt(donor, &spec.matrix);
                     engine.touch_cache_entry();
                     return Ok(engine);
@@ -266,46 +163,30 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
                 builder.build(&spec.matrix, d)
             })
             .collect::<Result<_, _>>()?;
+        // The one-pool invariant (the disjoint-lane overlap only holds
+        // within one pool) is true by construction — every builder was
+        // handed a clone of `pool`, and donors come from a generation on
+        // the same pool — so it is asserted, not returned as an error.
         debug_assert!(engines.iter().all(|e| e.pool().same_pool(&pool)));
         Ok(ShardedSpmm { plan, engines, pool, d, output_pool })
     }
 
     /// Hand the full-height output pool to a successor generation (see
-    /// [`ShardedSpmm::compile_with_reuse`]).
+    /// [`ShardedSpmm::compile`]).
     pub(crate) fn output_pool(&self) -> Arc<BufferPool<T>> {
         Arc::clone(&self.output_pool)
     }
 
-    /// The plan this engine was compiled from.
-    pub fn plan(&self) -> &'a ShardPlan<T> {
-        self.plan
-    }
-
     /// The per-shard engines, in row order.
-    pub fn engines(&self) -> &[JitSpmm<'a, T>] {
+    pub(crate) fn engines(&self) -> &[JitSpmm<'a, T>] {
         &self.engines
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// The number of dense columns every shard kernel expects.
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
-    /// The worker pool every shard executes on.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
     }
 
     /// The slowest-progressing tier across the shard engines: `Tier0` while
     /// any shard still runs its starter kernel, `Promoted` once every shard
     /// has hot-swapped, `Fixed` for a non-tiered compile. Shards promote
     /// independently, so this is the honest aggregate for merged reports.
-    pub fn tier(&self) -> KernelTier {
+    pub(crate) fn tier(&self) -> KernelTier {
         if self.engines.iter().any(|e| e.tier() == KernelTier::Tier0) {
             KernelTier::Tier0
         } else if self.engines.iter().any(|e| e.tier() == KernelTier::Promoted) {
@@ -316,17 +197,8 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     }
 
     /// Total hot-swap promotions across the shard engines.
-    pub fn promotions(&self) -> usize {
+    pub(crate) fn promotions(&self) -> usize {
         self.engines.iter().map(JitSpmm::promotions).sum()
-    }
-
-    /// Re-pin every shard engine's soft NUMA placement hint to `node` (see
-    /// [`JitSpmm::place_on_node`]); `None` clears the hints and with them
-    /// the first-touch output placement.
-    pub fn place_on_node(&mut self, node: Option<usize>) {
-        for engine in &mut self.engines {
-            engine.place_on_node(node);
-        }
     }
 
     /// Compute `Y = A * X` by launching every shard as an overlapped,
@@ -352,12 +224,12 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     ///
     /// Re-raises the first worker panic of the run after joining the shard
     /// launches still in flight; the engines stay usable afterwards.
-    pub fn execute<'scope, 'env>(
+    pub(crate) fn execute<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         x: &'env DenseMatrix<T>,
     ) -> Result<(PooledMatrix<T>, ShardReport), JitSpmmError> {
-        self.check_input_shape(x)?;
+        check_input_shape(x, self.plan.ncols(), self.d)?;
         let started = Instant::now();
         let mut y = self.acquire_output();
         let y_ptr = y.as_mut_ptr();
@@ -426,13 +298,13 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     ///
     /// Re-raises the first worker panic of the batch after joining the
     /// launches still in flight; the engines stay usable afterwards.
-    pub fn execute_batch<'scope, 'env>(
+    pub(crate) fn execute_batch<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         inputs: &'env [DenseMatrix<T>],
     ) -> Result<(Vec<PooledMatrix<T>>, ShardReport), JitSpmmError> {
         for (index, x) in inputs.iter().enumerate() {
-            self.check_input_shape(x).map_err(|e| match e {
+            check_input_shape(x, self.plan.ncols(), self.d).map_err(|e| match e {
                 JitSpmmError::ShapeMismatch(msg) => {
                     JitSpmmError::ShapeMismatch(format!("batch input {index}: {msg}"))
                 }
@@ -470,7 +342,7 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
     /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
     /// holds a launch of one of the shard engines, or a codegen error from
     /// compiling spare slot kernels.
-    pub fn batch_stream<'scope, 'env>(
+    pub(crate) fn batch_stream<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
@@ -489,21 +361,6 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
             engine.reserve_outputs(effective + 1);
         }
         Ok(ShardedStream::new(self, streams))
-    }
-
-    /// Validate that `x` matches the compiled input shape (`A.ncols() x d`
-    /// of the **full** matrix; every shard shares both).
-    pub(crate) fn check_input_shape(&self, x: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
-        if x.nrows() != self.plan.ncols() || x.ncols() != self.d {
-            return Err(JitSpmmError::ShapeMismatch(format!(
-                "dense input is {}x{} but the sharded kernel expects {}x{}",
-                x.nrows(),
-                x.ncols(),
-                self.plan.ncols(),
-                self.d
-            )));
-        }
-        Ok(())
     }
 
     /// A full-height (`plan.nrows() x d`) output borrowed from the sharded
@@ -581,4 +438,23 @@ impl<'a, T: Scalar> ShardedSpmm<'a, T> {
             .map(|s| s.strategy)
             .unwrap_or(Strategy::RowSplitStatic)
     }
+}
+
+/// The shape check every sharded execute path shares: `x` must be
+/// `ncols x d` of the **full** matrix (every shard shares both). [`crate::MutableSpmm`] answers it from its fixed dimensions
+/// without touching the generation lock; a generation re-checks it before
+/// its raw shard launches.
+pub(crate) fn check_input_shape<T: Scalar>(
+    x: &DenseMatrix<T>,
+    ncols: usize,
+    d: usize,
+) -> Result<(), JitSpmmError> {
+    if x.nrows() != ncols || x.ncols() != d {
+        return Err(JitSpmmError::ShapeMismatch(format!(
+            "dense input is {}x{} but the sharded kernel expects {ncols}x{d}",
+            x.nrows(),
+            x.ncols(),
+        )));
+    }
+    Ok(())
 }

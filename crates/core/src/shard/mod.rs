@@ -20,23 +20,26 @@
 //!   array) and reports the achieved imbalance through the same
 //!   [`crate::Partition::nnz_imbalance`] metric the scheduler uses; the
 //!   resulting [`ShardPlan`] owns the extracted sub-matrices.
-//! * [`ShardedSpmm`] (`engine`) compiles one [`crate::JitSpmm`] per shard
-//!   on a shared pool (validated via [`crate::WorkerPool::same_pool`]).
-//!   [`ShardedSpmm::execute`] launches every shard asynchronously, each
-//!   kernel writing **directly into its row range** of one pooled
-//!   full-height output; [`ShardedSpmm::execute_batch`] pipelines a batch
-//!   through per-shard [`crate::BatchStream`]s and stitches completed
-//!   inputs with one contiguous row-range copy per shard. Neither allocates
-//!   in steady state.
-//! * [`ShardedStream`] (`stream`) is the incremental batch form, also
-//!   driven by the serving router.
+//! * `ShardedSpmm` (`engine`) compiles one [`crate::JitSpmm`] per shard
+//!   on a shared pool. Its execute launches every shard asynchronously,
+//!   each kernel writing **directly into its row range** of one pooled
+//!   full-height output; its batch execute pipelines a batch through
+//!   per-shard [`crate::BatchStream`]s and stitches completed inputs with
+//!   one contiguous row-range copy per shard. Neither allocates in steady
+//!   state. `ShardedStream` (`stream`) is the incremental batch form.
+//!   Both are crate-internal building blocks of one generation of the
+//!   public sharded engine, [`crate::MutableSpmm`], which owns its plan and
+//!   swaps generations on live updates. A frozen sharded engine is a
+//!   mutable one that never receives an update.
 //! * [`ShardReport`] (`report`) aggregates per-shard kernel/dispatch
 //!   timing through the batch layer's bounded reservoir, a merged
 //!   critical-path view, and the plan's achieved nnz balance.
 //!
-//! A sharded engine registers with the serving router behind **one logical
-//! engine id** ([`crate::serve::SpmmServer::add_sharded`]), so mixed-stream
-//! routing, submission-order collection and [`crate::serve::ServerReport`]
+//! [`ShardOptions`] carries what a sharded compile can vary: tiering, a
+//! persistent kernel cache, explicit NUMA placement. A sharded engine
+//! registers with the serving router behind **one logical engine id**
+//! ([`crate::serve::SpmmServer::add_mutable`]), so mixed-stream routing,
+//! submission-order collection and [`crate::serve::ServerReport`]
 //! aggregation work unchanged.
 
 mod engine;
@@ -47,8 +50,9 @@ mod stream;
 #[cfg(test)]
 mod shard_tests;
 
-pub use engine::{ShardOptions, ShardedSpmm};
+pub use engine::ShardOptions;
+pub(crate) use engine::{check_input_shape, ShardedSpmm};
 pub(crate) use plan::{choose_strategy, nnz_imbalance_of_specs};
 pub use plan::{plan_shards, ShardPlan, ShardSpec};
 pub use report::ShardReport;
-pub use stream::ShardedStream;
+pub(crate) use stream::ShardedStream;

@@ -46,8 +46,8 @@ impl<T: Scalar> ShardSpec<T> {
 /// A sharding plan for one sparse matrix, produced by [`plan_shards`]: K
 /// contiguous row shards balanced by non-zero count, each carrying its
 /// extracted sub-matrix and per-shard strategy. The plan owns the shard
-/// matrices; a [`crate::shard::ShardedSpmm`] borrows it and compiles one
-/// engine per shard.
+/// matrices; a [`crate::MutableSpmm`] owns one per generation and compiles
+/// one engine per shard.
 #[derive(Debug)]
 pub struct ShardPlan<T: Scalar> {
     shards: Vec<ShardSpec<T>>,
@@ -93,7 +93,7 @@ impl<T: Scalar> ShardPlan<T> {
 
     /// The per-shard lane count the plan was made for (the strategy
     /// heuristic judges skew at this lane count, and
-    /// [`crate::shard::ShardedSpmm`] caps each shard engine to it).
+    /// [`crate::MutableSpmm`] caps each shard engine to it).
     pub fn lanes(&self) -> usize {
         self.lanes
     }

@@ -6,9 +6,8 @@ use crate::engine::{BatchReport, ExecutionReport, KernelTier};
 use std::time::Duration;
 
 /// Aggregated timing for one sharded run, returned by
-/// [`crate::shard::ShardedSpmm::execute`],
-/// [`crate::shard::ShardedSpmm::execute_batch`] and
-/// [`crate::shard::ShardedStream::finish`].
+/// [`crate::MutableSpmm::execute`], [`crate::MutableSpmm::execute_batch`]
+/// and [`crate::MutableStream::finish`].
 ///
 /// Per-shard statistics reuse the batch layer's [`BatchReport`] — the same
 /// bounded-reservoir kernel/dispatch p50/p99 — indexed by shard, so a run
@@ -81,7 +80,7 @@ pub(crate) fn merge_input_reports(reports: &[ExecutionReport]) -> ExecutionRepor
 }
 
 /// Build the single-launch [`BatchReport`] [`ShardReport`] uses for a
-/// one-shot [`crate::shard::ShardedSpmm::execute`]: one input, so every
+/// one-shot [`crate::MutableSpmm::execute`]: one input, so every
 /// percentile *is* the measurement. Tier labels default to
 /// [`KernelTier::Fixed`]; the sharded engine stamps the real ones.
 pub(crate) fn single_launch_report(report: &ExecutionReport, depth: usize) -> BatchReport {

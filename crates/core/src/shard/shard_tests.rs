@@ -5,7 +5,8 @@
 use crate::engine::JitSpmmBuilder;
 use crate::error::JitSpmmError;
 use crate::runtime::WorkerPool;
-use crate::shard::{plan_shards, ShardedSpmm};
+use crate::shard::plan_shards;
+use crate::update::MutableSpmm;
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
 
@@ -27,7 +28,7 @@ fn sharded_execute_is_bit_identical_to_unsharded() {
     let (expected, _) = unsharded.execute(&x).unwrap();
     for k in [1usize, 3, 5] {
         let plan = plan_shards(&a, k, 1).unwrap();
-        let sharded = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+        let sharded = MutableSpmm::compile(&a, k, 1, 8, pool.clone()).unwrap();
         let (y, report) = pool.scope(|scope| sharded.execute(scope, &x)).unwrap();
         assert_eq!(*y, *expected, "k = {k}: sharded execute must be bit-identical to unsharded");
         assert_eq!(report.shards, plan.len());
@@ -45,8 +46,7 @@ fn sharded_batch_matches_per_input_execute() {
     }
     let a = generate::uniform::<f32>(300, 260, 5_000, 6);
     let pool = WorkerPool::new(2);
-    let plan = plan_shards(&a, 3, 1).unwrap();
-    let sharded = ShardedSpmm::compile(&plan, 4, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&a, 3, 1, 4, pool.clone()).unwrap();
     let inputs: Vec<DenseMatrix<f32>> =
         (0..6).map(|i| DenseMatrix::random(a.ncols(), 4, 40 + i)).collect();
     let singles: Vec<DenseMatrix<f32>> = inputs
@@ -86,8 +86,7 @@ fn sharded_engine_validates_shapes_and_reports_errors() {
     }
     let a = generate::uniform::<f32>(100, 80, 1_000, 2);
     let pool = WorkerPool::new(1);
-    let plan = plan_shards(&a, 2, 1).unwrap();
-    let sharded = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&a, 2, 1, 8, pool.clone()).unwrap();
     // Wrong input shape: rejected before any launch.
     let bad = DenseMatrix::<f32>::zeros(80, 4);
     let err = pool.scope(|scope| sharded.execute(scope, &bad)).unwrap_err();
@@ -102,7 +101,7 @@ fn sharded_engine_validates_shapes_and_reports_errors() {
     }
     // d = 0 cannot compile.
     assert!(matches!(
-        ShardedSpmm::compile(&plan, 0, pool.clone()).unwrap_err(),
+        MutableSpmm::compile(&a, 2, 1, 0, pool.clone()).unwrap_err(),
         JitSpmmError::EmptyDenseMatrix
     ));
     // And the engine still executes fine after the rejections.
@@ -124,7 +123,7 @@ fn zero_nnz_shards_execute_and_write_zero_rows() {
     let pool = WorkerPool::new(2);
     let plan = plan_shards(&a, 4, 1).unwrap();
     assert!(plan.shards().iter().any(|s| s.nnz() == 0), "expected a zero-nnz shard");
-    let sharded = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&a, 4, 1, 8, pool.clone()).unwrap();
     let x = DenseMatrix::random(30, 8, 9);
     // Execute twice so the second run reuses a dirty recycled buffer.
     for _ in 0..2 {
@@ -144,8 +143,7 @@ fn sharded_outputs_recycle_in_steady_state() {
     }
     let a = generate::uniform::<f32>(128, 128, 2_000, 3);
     let pool = WorkerPool::new(2);
-    let plan = plan_shards(&a, 2, 1).unwrap();
-    let sharded = ShardedSpmm::compile(&plan, 4, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&a, 2, 1, 4, pool.clone()).unwrap();
     let x = DenseMatrix::random(128, 4, 5);
     let first_ptr = {
         let (y, _) = pool.scope(|scope| sharded.execute(scope, &x)).unwrap();

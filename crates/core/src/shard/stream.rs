@@ -4,7 +4,6 @@
 
 use crate::engine::BatchStats;
 use crate::engine::{BatchStream, ExecutionReport};
-use crate::error::JitSpmmError;
 use crate::runtime::PooledMatrix;
 use crate::shard::engine::ShardedSpmm;
 use crate::shard::report::{merge_input_reports, ShardReport};
@@ -14,7 +13,8 @@ use std::time::Instant;
 
 /// A pipelined stream of sharded SpMM executions, created by
 /// [`ShardedSpmm::batch_stream`] (or driven for you by
-/// [`ShardedSpmm::execute_batch`]).
+/// [`ShardedSpmm::execute_batch`]); the public face is
+/// [`crate::MutableStream`], which pins one stream to one matrix revision.
 ///
 /// Every pushed input is fanned out to **all** shard pipelines; because the
 /// per-shard [`BatchStream`]s share one depth and receive the same push
@@ -27,7 +27,7 @@ use std::time::Instant;
 /// The stream holds every shard engine's launch lock until it is finished
 /// or dropped; dropping it mid-batch joins the in-flight shard launches and
 /// discards their outputs.
-pub struct ShardedStream<'scope, 'env, T: Scalar> {
+pub(crate) struct ShardedStream<'scope, 'env, T: Scalar> {
     sharded: &'env ShardedSpmm<'env, T>,
     /// One pipeline per shard, in row order.
     streams: Vec<BatchStream<'scope, 'env, T>>,
@@ -46,40 +46,26 @@ impl<'scope, 'env, T: Scalar> ShardedStream<'scope, 'env, T> {
     }
 
     /// The per-shard pipeline depth (every shard stream shares it).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.streams[0].depth()
     }
 
     /// Number of inputs currently in flight across the shard pipelines.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.streams[0].in_flight()
     }
 
     /// Fan the next input out to every shard pipeline. If the pipelines are
     /// at depth, the oldest input's shard outputs are collected first and
     /// its stitched full-height result returned; otherwise `None`, without
-    /// blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::ShapeMismatch`] — before anything is submitted — if
-    /// `x` is not `A.ncols() x d`; the pipelines are unaffected.
+    /// blocking. Validation is the caller's job
+    /// ([`ShardedSpmm::execute_batch`] hoists the shape checks).
     ///
     /// # Panics
     ///
     /// Re-raises a worker panic from a completed shard launch (the stream
     /// is then dropped by unwinding, which joins the remaining launches and
     /// releases every shard engine).
-    pub fn push(
-        &mut self,
-        x: &'env DenseMatrix<T>,
-    ) -> Result<Option<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
-        self.sharded.check_input_shape(x)?;
-        Ok(self.push_validated(x))
-    }
-
-    /// [`ShardedStream::push`] for pre-validated borrowed inputs
-    /// ([`ShardedSpmm::execute_batch`] hoists the shape checks).
     pub(crate) fn push_validated(
         &mut self,
         x: &'env DenseMatrix<T>,
@@ -89,9 +75,9 @@ impl<'scope, 'env, T: Scalar> ShardedStream<'scope, 'env, T> {
         self.collect(pieces)
     }
 
-    /// [`ShardedStream::push`] for an input handed over by shared handle:
-    /// every shard pipeline keeps one `Arc` clone alive until its own
-    /// launch has been joined, so cross-thread producers (the serving
+    /// [`ShardedStream::push_validated`] for an input handed over by shared
+    /// handle: every shard pipeline keeps one `Arc` clone alive until its
+    /// own launch has been joined, so cross-thread producers (the serving
     /// router) need no `'env` borrows. Validation is the caller's job.
     pub(crate) fn push_shared_validated(
         &mut self,
@@ -131,11 +117,11 @@ impl<'scope, 'env, T: Scalar> ShardedStream<'scope, 'env, T> {
         &self,
         pieces: Vec<(PooledMatrix<T>, ExecutionReport)>,
     ) -> (PooledMatrix<T>, ExecutionReport) {
-        let d = self.sharded.d();
+        let d = self.sharded.d;
         let mut full = self.sharded.acquire_output();
         let out = full.as_mut_slice();
         let mut reports = Vec::with_capacity(pieces.len());
-        for (spec, (piece, report)) in self.sharded.plan().shards().iter().zip(pieces) {
+        for (spec, (piece, report)) in self.sharded.plan.shards().iter().zip(pieces) {
             out[spec.rows.start * d..spec.rows.end * d].copy_from_slice(piece.as_slice());
             reports.push(report);
         }
@@ -165,14 +151,13 @@ impl<'scope, 'env, T: Scalar> ShardedStream<'scope, 'env, T> {
 
     /// Drain every shard pipeline, stitch the remaining inputs (oldest
     /// first) and aggregate the [`ShardReport`]. The returned results are
-    /// the ones not already handed out by [`ShardedStream::push`], in
-    /// submission order.
+    /// the ones not already handed out by a push, in submission order.
     ///
     /// # Panics
     ///
     /// Re-raises the first worker panic among the remaining launches, after
     /// all of them have been joined.
-    pub fn finish(mut self) -> (Vec<(PooledMatrix<T>, ExecutionReport)>, ShardReport) {
+    pub(crate) fn finish(mut self) -> (Vec<(PooledMatrix<T>, ExecutionReport)>, ShardReport) {
         let streams = std::mem::take(&mut self.streams);
         let mut per_shard = Vec::with_capacity(streams.len());
         let mut rests: Vec<std::vec::IntoIter<(PooledMatrix<T>, ExecutionReport)>> = Vec::new();
@@ -208,7 +193,7 @@ impl<'scope, 'env, T: Scalar> ShardedStream<'scope, 'env, T> {
         merged.promotions = self.sharded.promotions();
         let report = ShardReport {
             shards: per_shard.len(),
-            nnz_imbalance: self.sharded.plan().nnz_imbalance(),
+            nnz_imbalance: self.sharded.plan.nnz_imbalance(),
             merged,
             per_shard,
         };

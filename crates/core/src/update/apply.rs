@@ -117,7 +117,7 @@ impl<T: Scalar> MutableSpmm<T> {
                 self.pool.clone(),
                 &self.options,
                 &[],
-                Some(&current.engine),
+                current.engine.output_pool(),
             )?
         } else {
             // Incremental path: keep the cut points, adopt every untouched
@@ -136,7 +136,7 @@ impl<T: Scalar> MutableSpmm<T> {
                 self.pool.clone(),
                 &self.options,
                 &donors,
-                Some(&current.engine),
+                current.engine.output_pool(),
             )?
         };
         let replanned = drifted > REPLAN_THRESHOLD;

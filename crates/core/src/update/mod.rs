@@ -1,6 +1,9 @@
-//! Live incremental matrix updates: apply a [`DeltaBatch`] of edge
-//! mutations to a compiled sharded engine, rebuilding **only the shards
-//! the delta touches** and hot-swapping the result between launches.
+//! The sharded engine, [`MutableSpmm`], and its live incremental matrix
+//! updates: apply a [`DeltaBatch`] of edge mutations to a compiled sharded
+//! engine, rebuilding **only the shards the delta touches** and
+//! hot-swapping the result between launches. It is the crate's one sharded
+//! engine type: a sharded engine that never receives a delta is simply a
+//! mutable one frozen at revision 0.
 //!
 //! The paper's whole premise is that compiling SpMM code *per matrix* is
 //! worth it because one matrix serves many multiplies. Dynamic graphs
@@ -64,9 +67,13 @@ pub use apply::UpdateReport;
 
 use crate::engine::{ExecutionReport, JitSpmm, KernelTier, TierAction};
 use crate::error::JitSpmmError;
+use crate::runtime::dispatch::BufferPool;
 use crate::runtime::{PoolScope, PooledMatrix, WorkerPool};
 use crate::schedule::Strategy;
-use crate::shard::{plan_shards, ShardOptions, ShardPlan, ShardReport, ShardedSpmm, ShardedStream};
+use crate::shard::{
+    check_input_shape, plan_shards, ShardOptions, ShardPlan, ShardReport, ShardedSpmm,
+    ShardedStream,
+};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix, Scalar};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 
@@ -86,8 +93,9 @@ struct Generation<T: Scalar> {
 }
 
 impl<T: Scalar> Generation<T> {
-    /// Compile the engine for `plan`, adopting donor cores where given, and
-    /// seal both into a generation at `revision`.
+    /// Compile the engine for `plan` (see [`ShardedSpmm::compile`]: donor
+    /// cores are adopted where given, an empty `donors` compiles every
+    /// shard fresh) and seal both into a generation at `revision`.
     fn compile(
         plan: ShardPlan<T>,
         revision: u64,
@@ -95,36 +103,33 @@ impl<T: Scalar> Generation<T> {
         pool: WorkerPool,
         options: &ShardOptions,
         donors: &[Option<&JitSpmm<'_, T>>],
-        output_pool: Option<&ShardedSpmm<'_, T>>,
+        output_pool: Arc<BufferPool<T>>,
     ) -> Result<Arc<Generation<T>>, JitSpmmError> {
         let plan = Arc::new(plan);
         // SAFETY: the promoted reference points into `plan`'s heap
         // allocation, which the returned generation owns; the engine (the
         // only holder of the promoted lifetime) is dropped before the Arc.
         let plan_ref: &'static ShardPlan<T> = unsafe { &*Arc::as_ptr(&plan) };
-        let engine = match output_pool {
-            Some(previous) => {
-                let fresh: Vec<Option<&JitSpmm<'_, T>>> =
-                    if donors.is_empty() { vec![None; plan.len()] } else { donors.to_vec() };
-                ShardedSpmm::compile_with_reuse(
-                    plan_ref,
-                    d,
-                    pool,
-                    options,
-                    &fresh,
-                    previous.output_pool(),
-                )?
-            }
-            None => ShardedSpmm::compile_with(plan_ref, d, pool, options.clone())?,
-        };
+        let engine = ShardedSpmm::compile(plan_ref, d, pool, options, donors, output_pool)?;
         Ok(Arc::new(Generation { engine, plan, revision }))
     }
 }
 
-/// A sharded SpMM engine over an **evolving** sparse matrix: compile once,
-/// execute many, and [`MutableSpmm::apply`] edge-level [`DeltaBatch`]es in
-/// between — rebuilding only the shards each delta touches while untouched
-/// shards keep their compiled kernels pointer-identically. See the
+/// The sharded SpMM engine: K independently compiled [`JitSpmm`] kernels —
+/// one per nnz-balanced row shard — sharing one [`WorkerPool`], over an
+/// **evolving** sparse matrix. Compile once, execute many, and
+/// [`MutableSpmm::apply`] edge-level [`DeltaBatch`]es in between —
+/// rebuilding only the shards each delta touches while untouched shards
+/// keep their compiled kernels pointer-identically.
+///
+/// Each shard kernel is specialized to its shard's local sparsity, with its
+/// own workload-division strategy, and the K launches of one execute run as
+/// **overlapped, lane-capped jobs on disjoint worker subsets**. Shard
+/// kernels write directly into their row range of one pooled full-height
+/// output ([`MutableSpmm::execute`]) or produce per-shard pooled outputs
+/// stitched by one contiguous copy per shard
+/// ([`MutableSpmm::execute_batch`]); either way steady-state execution
+/// performs no per-call buffer allocation. See the
 /// [module docs](crate::update) for the generation protocol and the
 /// bit-identity guarantee.
 ///
@@ -178,14 +183,19 @@ impl<T: Scalar> std::fmt::Debug for MutableSpmm<T> {
 
 impl<T: Scalar> MutableSpmm<T> {
     /// Plan `shards` nnz-balanced row shards of `matrix` (at `lanes` worker
-    /// lanes per shard) and compile the initial generation for `d` dense
-    /// columns on `pool` — [`crate::shard::plan_shards`] followed by
-    /// [`ShardedSpmm::compile`], with the plan owned internally so the
-    /// engine can replace it on later updates.
+    /// lanes per shard) and compile one engine per shard for `d` dense
+    /// columns, all on `pool`. The cut is exactly
+    /// [`crate::shard::plan_shards`]`(matrix, shards, lanes)`; the engine
+    /// owns the plan so it can replace it on later updates. Each shard
+    /// engine uses the plan's per-shard strategy and is lane-capped to
+    /// `lanes` workers, so the K shard launches of one execute overlap on
+    /// disjoint subsets of the shared pool.
     ///
     /// # Errors
     ///
-    /// As [`crate::shard::plan_shards`] and [`ShardedSpmm::compile`].
+    /// As [`crate::shard::plan_shards`];
+    /// [`JitSpmmError::EmptyDenseMatrix`] if `d` is zero, or a codegen
+    /// error if any shard kernel fails to compile.
     pub fn compile(
         matrix: &CsrMatrix<T>,
         shards: usize,
@@ -197,8 +207,13 @@ impl<T: Scalar> MutableSpmm<T> {
     }
 
     /// [`MutableSpmm::compile`] with the full [`ShardOptions`] set —
-    /// tiering, the persistent kernel cache (updates probe it per rebuilt
-    /// shard and refresh untouched shards' entries), NUMA placement.
+    /// tiering (every shard engine starts on a tier-0 kernel and promotes
+    /// independently, so a straggler shard's recompile never holds back the
+    /// others), the persistent kernel cache (each shard keyed by its own
+    /// matrix fingerprint, so a restart warm-starts all K shards; updates
+    /// probe it per rebuilt shard and refresh untouched shards' entries),
+    /// and explicit NUMA placement (overriding the automatic contiguous
+    /// spread of shards across nodes).
     ///
     /// # Errors
     ///
@@ -212,7 +227,15 @@ impl<T: Scalar> MutableSpmm<T> {
         options: ShardOptions,
     ) -> Result<MutableSpmm<T>, JitSpmmError> {
         let plan = plan_shards(matrix, shards, lanes)?;
-        let generation = Generation::compile(plan, 0, d, pool.clone(), &options, &[], None)?;
+        let generation = Generation::compile(
+            plan,
+            0,
+            d,
+            pool.clone(),
+            &options,
+            &[],
+            Arc::new(BufferPool::new()),
+        )?;
         Ok(MutableSpmm {
             generations: RwLock::new(vec![generation]),
             pool,
@@ -260,15 +283,28 @@ impl<T: Scalar> MutableSpmm<T> {
         f(&generation)
     }
 
-    /// Compute `Y = A * X` through the current generation — semantics,
-    /// errors and report exactly as [`ShardedSpmm::execute`]. The
-    /// generation read guard is held for the call's duration, so a
+    /// Compute `Y = A * X` through the current generation by launching
+    /// every shard as an overlapped, lane-capped asynchronous job: shard
+    /// `k`'s kernel writes **directly into its row range** of one pooled
+    /// full-height output, and the call returns once the slowest shard has
+    /// joined. Steady-state repeated execution recycles the output buffer.
+    /// The launches are anchored to `scope` exactly like
+    /// [`JitSpmm::execute_async`].
+    ///
+    /// The generation read guard is held for the call's duration, so a
     /// concurrent [`MutableSpmm::apply`] waits for the launch (and vice
     /// versa: this call briefly waits out an in-progress swap).
     ///
     /// # Errors
     ///
-    /// As [`ShardedSpmm::execute`].
+    /// [`JitSpmmError::ShapeMismatch`] if `x` is not `A.ncols() x d`, and
+    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
+    /// holds a launch of one of the shard engines.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first worker panic of the run after joining the shard
+    /// launches still in flight; the engine stays usable afterwards.
     pub fn execute<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
@@ -280,14 +316,24 @@ impl<T: Scalar> MutableSpmm<T> {
     }
 
     /// Compute `Y = A * X_i` for a whole batch through the current
-    /// generation — semantics, errors and report exactly as
-    /// [`ShardedSpmm::execute_batch`]. The generation read guard is held
-    /// for the batch's duration: a delta applied concurrently lands after
-    /// the batch, never inside it.
+    /// generation, pipelining it through all shards at once: each shard
+    /// runs its own [`crate::BatchStream`], the streams advance in
+    /// lockstep, and each completed input's shard outputs are stitched —
+    /// one contiguous row-range copy per shard — into a full-height pooled
+    /// output. Outputs return in input order with a [`ShardReport`]. The
+    /// generation read guard is held for the batch's duration: a delta
+    /// applied concurrently lands after the batch, never inside it.
     ///
     /// # Errors
     ///
-    /// As [`ShardedSpmm::execute_batch`].
+    /// [`JitSpmmError::ShapeMismatch`] (naming the offending input index)
+    /// if any input is not `A.ncols() x d` — nothing is launched in that
+    /// case — and [`JitSpmmError::LaunchInProgress`] as for
+    /// [`MutableSpmm::execute`].
+    ///
+    /// # Panics
+    ///
+    /// As [`MutableSpmm::execute`].
     pub fn execute_batch<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
@@ -299,16 +345,20 @@ impl<T: Scalar> MutableSpmm<T> {
     }
 
     /// Open a [`MutableStream`] — the incremental pipelined form of
-    /// [`MutableSpmm::execute_batch`], wrapping a
-    /// [`crate::shard::ShardedStream`] over the current generation. The
-    /// stream holds the generation read guard until finished or dropped,
-    /// so every input pushed through one stream sees **one** matrix
-    /// revision; deltas applied while it is open take effect for streams
-    /// opened afterwards.
+    /// [`MutableSpmm::execute_batch`] over the current generation. `depth`
+    /// is the per-shard pipeline depth with the same auto semantics as
+    /// [`JitSpmm::batch_stream`] (`0` = default depth, sequential fast path
+    /// on hosts with nothing to overlap). The stream holds every shard
+    /// engine's launch lock and the generation read guard until finished or
+    /// dropped, so every input pushed through one stream sees **one**
+    /// matrix revision; deltas applied while it is open take effect for
+    /// streams opened afterwards.
     ///
     /// # Errors
     ///
-    /// As [`ShardedSpmm::batch_stream`].
+    /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
+    /// holds a launch of one of the shard engines, or a codegen error from
+    /// compiling spare slot kernels.
     pub fn batch_stream<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
@@ -317,7 +367,7 @@ impl<T: Scalar> MutableSpmm<T> {
         let guard = self.read();
         let generation = self.current(&guard);
         let stream = generation.engine.batch_stream(scope, depth)?;
-        Ok(MutableStream { stream, _hold: guard })
+        Ok(MutableStream { stream, engine: self, _hold: guard })
     }
 
     /// Apply an edge-delta batch, compiling the next generation: touched
@@ -409,7 +459,9 @@ impl<T: Scalar> MutableSpmm<T> {
     }
 
     /// The slowest-progressing tier across the current generation's shard
-    /// engines (see [`ShardedSpmm::tier`]).
+    /// engines: `Tier0` while any shard still runs its starter kernel,
+    /// `Promoted` once every shard has hot-swapped, `Fixed` for a
+    /// non-tiered compile.
     pub fn tier(&self) -> KernelTier {
         self.with_current(|g| g.engine.tier())
     }
@@ -440,16 +492,7 @@ impl<T: Scalar> MutableSpmm<T> {
     /// serving router's pre-admission check, answerable without touching
     /// the generation lock.
     pub(crate) fn check_input_shape(&self, x: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
-        if x.nrows() != self.ncols || x.ncols() != self.d {
-            return Err(JitSpmmError::ShapeMismatch(format!(
-                "dense input is {}x{} but the mutable sharded kernel expects {}x{}",
-                x.nrows(),
-                x.ncols(),
-                self.ncols,
-                self.d
-            )));
-        }
-        Ok(())
+        check_input_shape(x, self.ncols, self.d)
     }
 
     /// Grow the retained full-height output bound of the current
@@ -499,56 +542,73 @@ impl<T: Scalar> MutableSpmm<T> {
 }
 
 /// A pipelined batch stream over a [`MutableSpmm`], created by
-/// [`MutableSpmm::batch_stream`]: a [`ShardedStream`] pinned to one matrix
-/// revision. The stream holds the engine's generation read guard — deltas
-/// applied while it is open wait (or, in the serving loop, requeue) until
-/// it finishes or drops, and every result it produces reflects the
-/// revision current at open time.
+/// [`MutableSpmm::batch_stream`]: one pipeline per shard, driven in
+/// lockstep, pinned to one matrix revision. Every pushed input fans out to
+/// all shard pipelines; a completed input's shard outputs are stitched into
+/// a full-height pooled output, and results come back in submission order,
+/// exactly like a single-engine [`crate::BatchStream`]. The stream holds
+/// the engine's generation read guard — deltas applied while it is open
+/// wait (or, in the serving loop, requeue) until it finishes or drops, and
+/// every result it produces reflects the revision current at open time.
+/// Dropping it mid-batch joins the in-flight shard launches and discards
+/// their outputs.
 pub struct MutableStream<'scope, 'env, T: Scalar> {
     // Declared before the guard so in-flight launches join before the
     // generation read lock is released.
     stream: ShardedStream<'scope, 'env, T>,
+    engine: &'env MutableSpmm<T>,
     _hold: RwLockReadGuard<'env, Vec<Arc<Generation<T>>>>,
 }
 
 impl<'scope, 'env, T: Scalar> MutableStream<'scope, 'env, T> {
-    /// The per-shard pipeline depth (see [`ShardedStream::depth`]).
+    /// The per-shard pipeline depth (every shard pipeline shares it).
     pub fn depth(&self) -> usize {
         self.stream.depth()
     }
 
-    /// Inputs currently in flight (see [`ShardedStream::in_flight`]).
+    /// Inputs currently in flight across the shard pipelines.
     pub fn in_flight(&self) -> usize {
         self.stream.in_flight()
     }
 
-    /// Fan the next input out to every shard pipeline (see
-    /// [`ShardedStream::push`]).
+    /// Fan the next input out to every shard pipeline. If the pipelines are
+    /// at depth, the oldest input's stitched full-height result is returned
+    /// first; otherwise `None`, without blocking.
     ///
     /// # Errors
     ///
-    /// As [`ShardedStream::push`].
+    /// [`JitSpmmError::ShapeMismatch`] — before anything is submitted — if
+    /// `x` is not `A.ncols() x d`; the pipelines are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a worker panic from a completed shard launch (the stream
+    /// is then dropped by unwinding, which joins the remaining launches and
+    /// releases every shard engine).
     pub fn push(
         &mut self,
         x: &'env DenseMatrix<T>,
     ) -> Result<Option<(PooledMatrix<T>, ExecutionReport)>, JitSpmmError> {
-        self.stream.push(x)
+        self.engine.check_input_shape(x)?;
+        Ok(self.stream.push_validated(x))
     }
 
-    /// Drain the pipelines and aggregate the [`ShardReport`] (see
-    /// [`ShardedStream::finish`]); the generation read guard releases once
-    /// the drain completes.
+    /// Drain the pipelines, stitch the remaining inputs (oldest first) and
+    /// aggregate the [`ShardReport`]; the generation read guard releases
+    /// once the drain completes. The returned results are the ones not
+    /// already handed out by [`MutableStream::push`], in submission order.
     ///
     /// # Panics
     ///
-    /// As [`ShardedStream::finish`].
+    /// Re-raises the first worker panic among the remaining launches, after
+    /// all of them have been joined.
     pub fn finish(self) -> (Vec<(PooledMatrix<T>, ExecutionReport)>, ShardReport) {
-        let MutableStream { stream, _hold } = self;
+        let MutableStream { stream, _hold, .. } = self;
         stream.finish()
     }
 
-    /// See [`ShardedStream::push_shared_validated`] — the serving router's
-    /// by-value push.
+    /// The serving router's by-value push (see
+    /// [`ShardedStream::push_shared_validated`]).
     pub(crate) fn push_shared_validated(
         &mut self,
         x: Arc<DenseMatrix<T>>,
@@ -556,8 +616,8 @@ impl<'scope, 'env, T: Scalar> MutableStream<'scope, 'env, T> {
         self.stream.push_shared_validated(x)
     }
 
-    /// See [`ShardedStream::complete_next`] — the serving control plane's
-    /// one-at-a-time drain.
+    /// The serving control plane's one-at-a-time drain (see
+    /// [`ShardedStream::complete_next`]).
     pub(crate) fn complete_next(&mut self) -> Option<(PooledMatrix<T>, ExecutionReport)> {
         self.stream.complete_next()
     }

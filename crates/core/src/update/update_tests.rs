@@ -4,7 +4,6 @@
 //! (serving paths included) lives in `tests/tests/update_differential.rs`.
 
 use super::*;
-use crate::shard::plan_shards;
 use jitspmm_sparse::generate;
 
 fn square_rmat(scale: u32, nnz: usize, seed: u64) -> CsrMatrix<f32> {
@@ -30,8 +29,7 @@ fn incremental_apply_is_bit_identical_to_from_scratch() {
     let merged = a.apply_delta(&delta).unwrap();
     assert_eq!(engine.merged_matrix(), merged);
     assert_eq!(engine.nnz(), merged.nnz());
-    let plan = plan_shards(&merged, 4, 1).unwrap();
-    let fresh = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+    let fresh = MutableSpmm::compile(&merged, 4, 1, 8, pool.clone()).unwrap();
     let x = DenseMatrix::random(a.ncols(), 8, 3);
     let (y_inc, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
     let (y_ref, _) = pool.scope(|s| fresh.execute(s, &x)).unwrap();
@@ -77,8 +75,7 @@ fn heavy_skew_forces_a_replan() {
     assert!(report.nnz_imbalance <= 1.5, "the re-cut restores balance");
     // Still bit-identical to from-scratch on the merged matrix.
     let merged = a.apply_delta(&delta).unwrap();
-    let plan = plan_shards(&merged, 4, 1).unwrap();
-    let fresh = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+    let fresh = MutableSpmm::compile(&merged, 4, 1, 8, pool.clone()).unwrap();
     let x = DenseMatrix::random(200, 8, 7);
     let (y_inc, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
     let (y_ref, _) = pool.scope(|s| fresh.execute(s, &x)).unwrap();
@@ -169,8 +166,7 @@ fn repeated_updates_compose_and_execute_batch_matches() {
     assert_eq!(engine.merged_matrix(), current);
     let inputs: Vec<DenseMatrix<f32>> =
         (0..4).map(|seed| DenseMatrix::random(current.ncols(), 8, seed)).collect();
-    let plan = plan_shards(&current, 3, 1).unwrap();
-    let fresh = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+    let fresh = MutableSpmm::compile(&current, 3, 1, 8, pool.clone()).unwrap();
     let (ys_inc, _) = pool.scope(|s| engine.execute_batch(s, &inputs)).unwrap();
     let (ys_ref, _) = pool.scope(|s| fresh.execute_batch(s, &inputs)).unwrap();
     for (yi, yr) in ys_inc.iter().zip(&ys_ref) {

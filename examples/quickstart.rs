@@ -164,9 +164,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    shards, compile one engine per shard — each with a strategy picked
     //    for its *local* sparsity — and execute them as overlapped
     //    lane-capped launches, every shard kernel writing directly into its
-    //    row range of one pooled output. Results are bit-identical to the
-    //    single-engine path; the report shows the achieved balance and the
-    //    per-shard tails.
+    //    row range of one pooled output. `MutableSpmm` is the sharded
+    //    engine (step 11 updates one live); the plan printed here is the
+    //    exact cut it makes. Results are bit-identical to the single-engine
+    //    path; the report shows the achieved balance and the per-shard
+    //    tails.
     let shard_pool = WorkerPool::new(2);
     let plan = jitspmm::shard::plan_shards(&a, 2, 1)?;
     println!(
@@ -175,7 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.nnz_imbalance(),
         plan.shards().iter().map(|s| s.strategy.to_string()).collect::<Vec<_>>().join(", ")
     );
-    let sharded = jitspmm::shard::ShardedSpmm::compile(&plan, d, shard_pool.clone())?;
+    let sharded = MutableSpmm::compile(&a, 2, 1, d, shard_pool.clone())?;
     let (y_sharded, shard_report) = shard_pool.scope(|scope| sharded.execute(scope, &x))?;
     println!(
         "sharded SpMM: {:?} across {} shards (merged kernel {:?}; slowest shard p99 {:?})",

@@ -17,8 +17,8 @@
 
 use jitspmm::baseline::{scalar, vectorized};
 use jitspmm::serve::{ServerRequest, SpmmServer};
-use jitspmm::shard::{plan_shards, ShardedSpmm};
-use jitspmm::{JitSpmmBuilder, JitSpmmError, JobSpec, Strategy, WorkerPool};
+use jitspmm::shard::plan_shards;
+use jitspmm::{JitSpmmBuilder, JitSpmmError, JobSpec, MutableSpmm, Strategy, WorkerPool};
 use jitspmm_integration_tests::host_supports_jit;
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -640,7 +640,7 @@ fn differential_matrix_sharded() {
             let plan = plan_shards(&s.matrix, k, 1).unwrap();
             assert!(plan.len() <= k && !plan.is_empty());
             assert!(plan.nnz_imbalance() >= 1.0);
-            let sharded = ShardedSpmm::compile(&plan, s.d, pool.clone()).unwrap();
+            let sharded = MutableSpmm::compile(&s.matrix, k, 1, s.d, pool.clone()).unwrap();
             // The single-launch path: every shard as one overlapped raw
             // launch writing straight into the full output.
             let (y, report) = pool.scope(|scope| sharded.execute(scope, &inputs[0])).unwrap();
@@ -786,7 +786,7 @@ fn sharded_edge_cases() {
     let (expected, _) = unsharded.execute(&x).unwrap();
     let plan = plan_shards(&m, 1, 1).unwrap();
     assert_eq!(plan.len(), 1);
-    let sharded = ShardedSpmm::compile(&plan, 8, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&m, 1, 1, 8, pool.clone()).unwrap();
     let (y, _) = pool.scope(|scope| sharded.execute(scope, &x)).unwrap();
     assert_eq!(*y, *expected, "k = 1 sharding must be the identity");
     drop(y);
@@ -794,7 +794,7 @@ fn sharded_edge_cases() {
     let small = tiny();
     let plan = plan_shards(&small, 8, 1).unwrap();
     assert_eq!(plan.len(), 1, "a 1x1 matrix supports exactly one shard");
-    let sharded = ShardedSpmm::compile(&plan, 1, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&small, 8, 1, 1, pool.clone()).unwrap();
     let xs = DenseMatrix::random(1, 1, 5);
     let (y, _) = pool.scope(|scope| sharded.execute(scope, &xs)).unwrap();
     assert!(y.approx_eq(&small.spmm_reference(&xs), 1e-5));
@@ -808,7 +808,7 @@ fn sharded_edge_cases() {
         plan.shards().iter().any(|s| s.nnz() == 0),
         "expected the hub matrix to produce a zero-nnz shard"
     );
-    let sharded = ShardedSpmm::compile(&plan, 16, pool.clone()).unwrap();
+    let sharded = MutableSpmm::compile(&hub, 4, 1, 16, pool.clone()).unwrap();
     let xh = DenseMatrix::random(hub.ncols(), 16, 6);
     let reference = hub.spmm_reference(&xh);
     for _ in 0..2 {

@@ -193,11 +193,10 @@ fn a_shard_panic_poisons_only_that_sharded_lane() {
     let a = small_uniform();
     let b = small_skewed();
     let pool = WorkerPool::new(1);
-    let plan = jitspmm::shard::plan_shards(&a, 2, 1).unwrap();
-    let sharded = jitspmm::shard::ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
+    let sharded = jitspmm::MutableSpmm::compile(&a, 2, 1, D, pool.clone()).unwrap();
     let single = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap();
     let server = SpmmServer::new(vec![single]).unwrap();
-    assert_eq!(server.add_sharded(sharded).unwrap(), 1);
+    assert_eq!(server.add_mutable(sharded).unwrap(), 1);
     let healthy: Vec<DenseMatrix<f32>> =
         (0..2).map(|i| DenseMatrix::random(SKEWED_COLS, D, 50 + i as u64)).collect();
     let expected: Vec<DenseMatrix<f32>> = healthy
@@ -269,7 +268,7 @@ fn a_shard_panic_poisons_only_that_sharded_lane() {
     // A fresh session reopens the sharded engine's pipeline: the poisoning
     // was per-session, the compiled engine itself is intact.
     let x = DenseMatrix::random(UNIFORM_COLS, D, 70);
-    let direct = server.sharded(1).unwrap();
+    let direct = server.mutable(1).unwrap();
     let (y, _) = pool.scope(|scope| direct.execute(scope, &x)).unwrap();
     let (responses, _) = server.serve_batch(0, vec![ServerRequest::new(1, x)]).unwrap();
     assert!(responses[0].is_completed(), "the sharded engine serves again in a new session");

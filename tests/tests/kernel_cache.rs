@@ -22,7 +22,7 @@
 //!   same round trip through the `jitspmm-serve` TCP front end).
 
 use jitspmm::{
-    CacheStats, JitSpmm, JitSpmmBuilder, KernelCache, KernelTier, ShardOptions, ShardedSpmm,
+    CacheStats, JitSpmm, JitSpmmBuilder, KernelCache, KernelTier, MutableSpmm, ShardOptions,
     Strategy, TierPolicy, WorkerPool,
 };
 use jitspmm_integration_tests::{host_supports_jit, pathological, small_uniform};
@@ -167,11 +167,12 @@ fn sharded_engines_warm_start_every_shard() {
     let dir = TempDir::new("shard");
     let pool = WorkerPool::new(2);
     let x = DenseMatrix::random(a.ncols(), D, 9);
-    let plan = jitspmm::plan_shards(&a, 2, 1).unwrap();
     let cache = KernelCache::open(dir.path());
 
-    let cold = ShardedSpmm::compile_with(
-        &plan,
+    let cold = MutableSpmm::compile_with(
+        &a,
+        2,
+        1,
         D,
         pool.clone(),
         ShardOptions::new().kernel_cache(Arc::clone(&cache)),
@@ -182,8 +183,10 @@ fn sharded_engines_warm_start_every_shard() {
     let after_cold = cache.stats();
     assert!(after_cold.stores >= 2, "one store per shard: {after_cold:?}");
 
-    let warm = ShardedSpmm::compile_with(
-        &plan,
+    let warm = MutableSpmm::compile_with(
+        &a,
+        2,
+        1,
         D,
         pool.clone(),
         ShardOptions::new().kernel_cache(Arc::clone(&cache)),

@@ -354,7 +354,7 @@ proptest! {
                 cursor = shard.rows.end;
             }
             prop_assert_eq!(cursor, nrows);
-            let sharded = jitspmm::shard::ShardedSpmm::compile(&plan, d, pool.clone()).unwrap();
+            let sharded = jitspmm::MutableSpmm::compile(&a, k, 2, d, pool.clone()).unwrap();
             let (y, report) = pool.scope(|scope| sharded.execute(scope, &x)).unwrap();
             prop_assert_eq!(report.shards, plan.len());
             prop_assert!(

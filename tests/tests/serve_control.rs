@@ -376,8 +376,7 @@ fn engines_can_be_added_while_a_session_is_open() {
     // Built up front, registered mid-stream: a single engine and a sharded
     // one, both sharing the server's pool.
     let late_single = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap();
-    let plan = jitspmm::shard::plan_shards(&a, 2, 1).unwrap();
-    let late_sharded = jitspmm::shard::ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
+    let late_sharded = jitspmm::MutableSpmm::compile(&a, 2, 1, D, pool.clone()).unwrap();
     let server = SpmmServer::new(vec![first]).unwrap();
     let server_ref = &server;
     let answered = AtomicUsize::new(0);
@@ -398,7 +397,7 @@ fn engines_can_be_added_while_a_session_is_open() {
                 // the very next requests.
                 let id = server_ref.add_engine(late_single).unwrap();
                 assert_eq!(id, 1);
-                let id = server_ref.add_sharded(late_sharded).unwrap();
+                let id = server_ref.add_mutable(late_sharded).unwrap();
                 assert_eq!(id, 2);
                 sender
                     .send_request(ServerRequest::new(1, DenseMatrix::random(SKEWED_COLS, D, 2)))

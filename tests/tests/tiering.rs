@@ -18,12 +18,14 @@
 
 use jitspmm::serve::{fault, AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
 use jitspmm::{
-    plan_shards, IsaLevel, JitSpmmBuilder, KernelTier, ShardedSpmm, Strategy, TierPolicy,
+    IsaLevel, JitSpmmBuilder, KernelTier, MutableSpmm, ShardOptions, Strategy, TierPolicy,
     WorkerPool,
 };
 use jitspmm_integration_tests::{host_supports_jit, pathological, small_skewed, small_uniform};
-use jitspmm_sparse::{CsrMatrix, DenseMatrix};
+use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 const D: usize = 4;
 
@@ -282,14 +284,13 @@ fn sharded_engines_promote_per_shard_through_the_server() {
     }
     let a = small_skewed();
     let pool = WorkerPool::new(2);
-    let plan = plan_shards(&a, 2, 1).unwrap();
-    let sharded =
-        ShardedSpmm::compile_tiered(&plan, D, pool.clone(), TierPolicy::new().warmup(2)).unwrap();
+    let options = ShardOptions::new().tiered(TierPolicy::new().warmup(2));
+    let sharded = MutableSpmm::compile_with(&a, 2, 1, D, pool.clone(), options).unwrap();
     assert_eq!(sharded.tier(), KernelTier::Tier0);
     // A server cannot be empty; the sharded engine registers behind id 1.
     let fixed = JitSpmmBuilder::new().pool(pool.clone()).build(&a, D).unwrap();
     let server = SpmmServer::new(vec![fixed]).unwrap();
-    let id = server.add_sharded(sharded).unwrap();
+    let id = server.add_mutable(sharded).unwrap();
     assert_eq!(id, 1);
     let inputs: Vec<DenseMatrix<f32>> =
         (0..16).map(|i| DenseMatrix::random(a.ncols(), D, 400 + i)).collect();
@@ -323,6 +324,86 @@ fn sharded_engines_promote_per_shard_through_the_server() {
     let tier = report.engine(id).unwrap().tier;
     assert!(matches!(tier, KernelTier::Tier0 | KernelTier::Promoted));
     assert_eq!(report.engine(0).unwrap().tier.label(), "fixed");
+}
+
+/// Tiering and live updates on one sharded engine in one session: after at
+/// least one shard has promoted, a delta applied through the control plane
+/// rebuilds the touched shard (back on its tier-0 kernel) while the
+/// untouched shard adopts its promoted core — and every later output must
+/// match the merged matrix.
+#[test]
+fn promoted_sharded_engines_take_live_updates() {
+    if !host_supports_jit() {
+        eprintln!("skipping: host lacks AVX/FMA");
+        return;
+    }
+    let a = small_skewed();
+    let pool = WorkerPool::new(2);
+    let options = ShardOptions::new().tiered(TierPolicy::new().warmup(2));
+    let sharded = MutableSpmm::compile_with(&a, 2, 1, D, pool.clone(), options).unwrap();
+    let fixed = JitSpmmBuilder::new().pool(pool.clone()).build(&a, D).unwrap();
+    let server = SpmmServer::new(vec![fixed]).unwrap();
+    let id = server.add_mutable(sharded).unwrap();
+    // Touch row 0 only: the first shard rebuilds, the second adopts.
+    let mut delta = DeltaBatch::new();
+    delta.upsert(0, 3, 2.5).upsert(0, 9, -1.25);
+    let merged = a.apply_delta(&delta).unwrap();
+    let input = |seed: u64| DenseMatrix::random(a.ncols(), D, 900 + seed);
+
+    let control = server.control();
+    let server_ref = &server;
+    let answered = AtomicUsize::new(0);
+    let answered_ref = &answered;
+    let mut outputs: Vec<(usize, DenseMatrix<f32>)> = Vec::new();
+    let (report, (before_update, revisions, promoted)) = server
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(4))
+                .tiering(TierPolicy::new().warmup(2).foreground()),
+            move |sender| {
+                let engine = server_ref.mutable(id).unwrap();
+                let mut sent = 0usize;
+                // One request at a time until a shard has promoted.
+                while engine.promotions() == 0 && sent < 64 {
+                    sender.send_request(ServerRequest::new(id, input(sent as u64))).unwrap();
+                    sent += 1;
+                    while answered_ref.load(Ordering::SeqCst) < sent {
+                        std::thread::yield_now();
+                    }
+                }
+                let promoted = engine.promotions();
+                let before = engine.revision();
+                assert!(control.apply_update(id, delta));
+                assert!(control.wait_revision(id, before + 1, Duration::from_secs(10)));
+                let after = engine.revision();
+                for seed in 0..8u64 {
+                    sender.send_request(ServerRequest::new(id, input(100 + seed))).unwrap();
+                }
+                (sent, (before, after), promoted)
+            },
+            |response| {
+                assert!(response.is_completed());
+                outputs.push((response.request(), (**response.output()).clone()));
+                answered.fetch_add(1, Ordering::SeqCst);
+            },
+        )
+        .unwrap();
+
+    assert!(promoted >= 1, "no shard promoted within {before_update} requests");
+    assert_eq!(revisions.1, revisions.0 + 1, "the update advances the revision by one");
+    assert_eq!(outputs.len(), before_update + 8);
+    assert_eq!(report.requests, before_update + 8);
+    for (request, y) in &outputs {
+        let (reference, x) = if *request < before_update {
+            (&a, input(*request as u64))
+        } else {
+            (&merged, input(100 + (*request - before_update) as u64))
+        };
+        assert!(
+            y.approx_eq(&reference.spmm_reference(&x), 1e-4),
+            "request {request} (updated at {before_update}): max diff {}",
+            y.max_abs_diff(&reference.spmm_reference(&x))
+        );
+    }
 }
 
 #[test]

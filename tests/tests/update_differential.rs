@@ -8,7 +8,7 @@
 //! cache hits, not new stores).
 
 use jitspmm::serve::{AdmissionPolicy, ServeOptions, ServerRequest, SpmmServer};
-use jitspmm::shard::{plan_shards, ShardOptions, ShardedSpmm};
+use jitspmm::shard::ShardOptions;
 use jitspmm::{KernelCache, MutableSpmm, WorkerPool};
 use jitspmm_integration_tests::{host_supports_jit, pathological, small_skewed, small_uniform};
 use jitspmm_sparse::{CsrMatrix, DeltaBatch, DenseMatrix};
@@ -80,8 +80,7 @@ fn incremental_update_matches_from_scratch_blocking_and_batch() {
             assert_eq!(report.revision, 1, "{name}/{kind}");
             let merged = base.apply_delta(&delta).unwrap();
             assert_eq!(engine.merged_matrix(), merged, "{name}/{kind}: merged view");
-            let plan = plan_shards(&merged, SHARDS, 1).unwrap();
-            let fresh = ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
+            let fresh = MutableSpmm::compile(&merged, SHARDS, 1, D, pool.clone()).unwrap();
 
             let x = DenseMatrix::random(base.ncols(), D, 7);
             let (y_inc, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
@@ -114,10 +113,8 @@ fn live_update_behind_serve_controlled_is_bit_identical() {
     for (name, base) in scenarios() {
         let delta = delta_for("mixed", &base);
         let merged = base.apply_delta(&delta).unwrap();
-        let plan_base = plan_shards(&base, SHARDS, 1).unwrap();
-        let fresh_base = ShardedSpmm::compile(&plan_base, D, pool.clone()).unwrap();
-        let plan_merged = plan_shards(&merged, SHARDS, 1).unwrap();
-        let fresh_merged = ShardedSpmm::compile(&plan_merged, D, pool.clone()).unwrap();
+        let fresh_base = MutableSpmm::compile(&base, SHARDS, 1, D, pool.clone()).unwrap();
+        let fresh_merged = MutableSpmm::compile(&merged, SHARDS, 1, D, pool.clone()).unwrap();
         let inputs: Vec<DenseMatrix<f32>> =
             (0..6).map(|seed| DenseMatrix::random(base.ncols(), D, 40 + seed)).collect();
         let mut expected = Vec::new();
@@ -214,8 +211,7 @@ fn untouched_shards_reuse_cores_and_hit_the_kernel_cache() {
 
     // And the updated engine still matches a from-scratch compile.
     let merged = base.apply_delta(&delta).unwrap();
-    let plan = plan_shards(&merged, 4, 1).unwrap();
-    let fresh = ShardedSpmm::compile(&plan, D, pool.clone()).unwrap();
+    let fresh = MutableSpmm::compile(&merged, 4, 1, D, pool.clone()).unwrap();
     let x = DenseMatrix::random(base.ncols(), D, 3);
     let (y_inc, _) = pool.scope(|s| engine.execute(s, &x)).unwrap();
     let (y_ref, _) = pool.scope(|s| fresh.execute(s, &x)).unwrap();
