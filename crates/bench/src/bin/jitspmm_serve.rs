@@ -477,7 +477,14 @@ fn serve_connection(
 /// Decode an UPDATE frame, queue the delta through the control plane, and
 /// wait for the serving loop to swap the new generation in (or report the
 /// failure). Blocking here is fine: each connection has its own thread.
+///
+/// UPDATE frames are handled one at a time, across all connections. The
+/// outcome is read off server-wide signals — the engine's revision reaching
+/// one past the revision seen before queueing, or the failed-update count
+/// rising — so a second delta in flight could otherwise acknowledge a
+/// rejected one or fail an applied one.
 fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &ControlHandle) -> Vec<u8> {
+    static ONE_UPDATE_AT_A_TIME: Mutex<()> = Mutex::new(());
     let engine = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
     let count = u32::from_le_bytes(payload[5..9].try_into().unwrap()) as usize;
     if payload.len() != 9 + count * UPDATE_OP_BYTES {
@@ -503,6 +510,7 @@ fn handle_update(payload: &[u8], server: &SpmmServer<'_, f32>, control: &Control
             other => return error_frame(&format!("unknown delta op kind {other}")),
         }
     }
+    let _serialized = ONE_UPDATE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     if delta.is_empty() {
         // A no-op: the engine would apply it without building a generation,
         // so the revision it would wait for never arrives.
@@ -737,5 +745,68 @@ mod tests {
             .unwrap();
         assert_eq!(reply, revision_frame(0), "{}", String::from_utf8_lossy(&reply[1..]));
         assert!(waited < Duration::from_secs(1), "zero-op update took {waited:?}");
+    }
+
+    /// An UPDATE frame upserting `(row, col) = value` on engine `id`.
+    fn update_frame(id: usize, row: u32, col: u32, value: f32) -> Vec<u8> {
+        let mut frame = vec![OP_UPDATE];
+        frame.extend_from_slice(&(id as u32).to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.push(0);
+        frame.extend_from_slice(&row.to_le_bytes());
+        frame.extend_from_slice(&col.to_le_bytes());
+        frame.extend_from_slice(&value.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn concurrent_updates_each_get_their_own_outcome() {
+        let features = CpuFeatures::detect();
+        if !(features.avx && features.has_fma()) {
+            eprintln!("skipping: host lacks AVX/FMA");
+            return;
+        }
+        let pool = WorkerPool::new(2);
+        let matrix = generate::uniform::<f32>(256, 256, 2_000, 3);
+        let server: SpmmServer<'_, f32> = SpmmServer::with_pool(pool.clone());
+        let engine = MutableSpmm::compile(&matrix, 2, 1, 8, pool).unwrap();
+        let id = server.add_mutable(engine).unwrap();
+        let control = server.control();
+        let client_control = control.clone();
+        let server_ref = &server;
+        // Two clients at once: one delta names a row past the matrix, the
+        // other is valid. Whichever lands first, each must get its own
+        // verdict.
+        let bad = update_frame(id, 1_000, 0, 1.0);
+        let good = update_frame(id, 5, 7, 2.0);
+        let (_, (bad_reply, good_reply)) = server
+            .serve_controlled(
+                ServeOptions::new(AdmissionPolicy::shedding(4)),
+                move |_sender| {
+                    let start = std::sync::Barrier::new(2);
+                    std::thread::scope(|clients| {
+                        let bad = clients.spawn(|| {
+                            start.wait();
+                            handle_update(&bad, server_ref, &client_control)
+                        });
+                        let good = clients.spawn(|| {
+                            start.wait();
+                            handle_update(&good, server_ref, &client_control)
+                        });
+                        (bad.join().unwrap(), good.join().unwrap())
+                    })
+                },
+                |_| {},
+            )
+            .unwrap();
+        let text = |reply: &[u8]| String::from_utf8_lossy(&reply[1..]).into_owned();
+        assert_eq!(
+            bad_reply[0],
+            1,
+            "the out-of-range delta was acknowledged: {}",
+            text(&bad_reply)
+        );
+        assert_eq!(good_reply, revision_frame(1), "the valid delta: {}", text(&good_reply));
+        assert_eq!(control.update_counts(), (1, 1));
     }
 }

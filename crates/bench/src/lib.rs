@@ -11,6 +11,7 @@
 //! | `fig9` | Figure 9 — speedup over the auto-vectorized baseline |
 //! | `fig10` | Figure 10 — speedup over the MKL-like baseline |
 //! | `fig11` | Figure 11 — memory loads / branches / misses / instructions |
+//! | `ablation` | Experiments E7/E8 — CCM on/off and ISA-width ablations |
 //!
 //! Pass `--quick` to any binary to restrict the run to a representative
 //! subset of the datasets (one per structural family) with fewer repetitions;

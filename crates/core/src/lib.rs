@@ -171,10 +171,10 @@
 //! any launch state, feeds each engine's requests through its own batch
 //! pipeline by value, keeps concurrent engines on disjoint lane-capped
 //! worker subsets, and reports per-engine tail latency plus whole-server
-//! throughput in a [`serve::ServerReport`]. Producers on other threads feed
-//! it through a bounded [`serve::RequestQueue`]
-//! ([`serve::SpmmServer::serve_stream`]); pre-collected request batches go
-//! through [`serve::SpmmServer::serve_batch`].
+//! throughput in a [`serve::ServerReport`]. Pre-collected request batches
+//! go through [`serve::SpmmServer::serve_batch`]; producers on other
+//! threads feed [`serve::SpmmServer::serve_controlled`] through a bounded
+//! queue's [`serve::RequestSender`].
 //!
 //! # The serving control plane
 //!
@@ -187,8 +187,8 @@
 //! producer flooding ten times the queue depth never blocks indefinitely
 //! and learns each verdict in nanoseconds. Requests carry priorities and
 //! deadline budgets ([`serve::ServerRequest::with_priority`] /
-//! [`serve::ServerRequest::with_deadline`]); a [`serve::ReorderBuffer`]
-//! schedules urgent work first and expired requests are shed before launch,
+//! [`serve::ServerRequest::with_deadline`]); a reorder buffer schedules
+//! urgent work first and expired requests are shed before launch,
 //! while the admitted subset still produces **bit-identical** outputs to
 //! FIFO serving. A [`serve::ControlHandle`] retires engines mid-stream,
 //! drains to a barrier (every admitted request answered) and resumes, and
@@ -418,9 +418,9 @@
 //! │   ├── apply          shard-local merge + recompile, re-plan on drift
 //! │   └── (mod)          MutableSpmm: the sharded engine, generations, MutableStream
 //! ├── serve/             multi-engine serving router + control plane
-//! │   ├── server         SpmmServer, ServerSession, serve_controlled loop
-//! │   ├── queue          bounded RequestQueue / RequestSender, admission gate
-//! │   ├── control        AdmissionPolicy, ControlHandle, ReorderBuffer
+//! │   ├── server         SpmmServer: serve_batch, the serve_controlled loop, sessions
+//! │   ├── queue          bounded request queue / RequestSender, admission gate
+//! │   ├── control        AdmissionPolicy, ControlHandle, reorder buffer
 //! │   ├── fault          cfg-gated crash/delay injection for chaos tests
 //! │   └── report         ServerReport (per-engine tails + verdict counters)
 //! ├── shard/             nnz-balanced multi-engine sharding
@@ -477,9 +477,8 @@ pub use runtime::{
 };
 pub use schedule::{DynamicCounter, Partition, RowRange, Strategy};
 pub use serve::{
-    AdmissionPolicy, ControlHandle, EngineStatus, RecvTimeout, RejectReason, ReorderBuffer,
-    RequestQueue, RequestSender, SendError, ServeOptions, ServerReport, ServerRequest,
-    ServerResponse, ServerSession, SpmmServer,
+    AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, RequestSender, SendError,
+    ServeOptions, ServerReport, ServerRequest, ServerResponse, SpmmServer,
 };
 pub use shard::{plan_shards, ShardOptions, ShardPlan, ShardReport, ShardSpec};
 pub use tiling::{CcmPlan, ColumnTile, Segment, SegmentWidth};

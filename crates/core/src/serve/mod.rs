@@ -12,7 +12,8 @@
 //!
 //! * every request is validated (engine id, input shape) **before** any
 //!   launch lock or buffer pool is touched, so malformed traffic produces
-//!   [`crate::JitSpmmError`]s, never panics or poisoned engines;
+//!   typed [`crate::JitSpmmError`]s or [`ServerResponse`]s, never panics or
+//!   poisoned engines;
 //! * each engine's requests flow through its own [`crate::BatchStream`]
 //!   pipeline (per-engine launch slots, payloads and spare kernels), fed by
 //!   value via [`crate::BatchStream::push_owned`], so cross-thread producers
@@ -20,9 +21,9 @@
 //! * the per-engine lane caps from the runtime keep concurrently in-flight
 //!   engines on **disjoint worker subsets** of the shared pool, so a slow
 //!   engine cannot starve the others;
-//! * results come back in per-engine submission order (and the collecting
-//!   entry points return them sorted by global submission order), each
-//!   tagged with its engine id and sequence numbers;
+//! * results come back in per-engine submission order (and
+//!   [`SpmmServer::serve_batch`] returns them sorted by global submission
+//!   order), each tagged with its engine id and sequence numbers;
 //! * a [`ServerReport`] aggregates one per-engine [`crate::BatchReport`]
 //!   (kernel/dispatch p50/p99 through the same bounded reservoir the batch
 //!   layer uses) plus whole-server throughput and the control plane's
@@ -56,9 +57,9 @@
 //!   server.
 //! * **Priorities and deadlines** — each [`ServerRequest`] carries a
 //!   `priority` and an optional absolute deadline;
-//!   [`SpmmServer::serve_controlled`] drains arrivals through a
-//!   [`ReorderBuffer`] ordered by priority, then earliest deadline, then
-//!   arrival, and sheds expired requests right before launch
+//!   [`SpmmServer::serve_controlled`] drains arrivals through a reorder
+//!   buffer ordered by priority, then earliest deadline, then arrival, and
+//!   sheds expired requests right before launch
 //!   ([`RejectReason::DeadlinePassed`], counted in
 //!   [`ServerReport::shed_deadline`]).
 //! * **Dynamic topology** — [`SpmmServer::add_engine`] /
@@ -82,21 +83,17 @@
 //!   unrelated engines keep serving and the server remains usable. The
 //!   cfg-gated [`fault`] module injects such crashes for chaos tests.
 //!
-//! Entry points, lowest-level first:
+//! Two entry points:
 //!
-//! * [`SpmmServer::session`] — open a [`ServerSession`] inside a pool scope
-//!   and drive it by hand ([`ServerSession::submit`] /
-//!   [`ServerSession::finish`]);
-//! * [`SpmmServer::serve_batch`] — serve a pre-collected `Vec` of requests;
-//! * [`SpmmServer::serve_stream`] — spawn a producer thread that feeds a
-//!   bounded [`RequestQueue`] while the calling thread routes, the
-//!   cross-thread configuration a real ingestion path has;
-//! * [`SpmmServer::serve_stream_with`] — the response-streaming form: each
-//!   completed response is handed to a consumer callback the moment it
-//!   exists instead of being collected;
-//! * [`SpmmServer::serve_controlled`] — the control-plane loop: admission
-//!   policies, priority/deadline scheduling, graceful drain and fault
-//!   containment, configured by [`ServeOptions`].
+//! * [`SpmmServer::serve_batch`] — serve a pre-collected `Vec` of requests
+//!   on the calling thread: the whole batch is validated up front, routed
+//!   FIFO, and a worker panic re-raises;
+//! * [`SpmmServer::serve_controlled`] — the serving loop: a producer thread
+//!   feeds a bounded queue through a [`RequestSender`] while the calling
+//!   thread routes arrivals and hands each typed [`ServerResponse`] to a
+//!   consumer callback the moment it exists, under the control plane above,
+//!   configured by [`ServeOptions`]. With [`AdmissionPolicy::blocking`] it
+//!   is plain FIFO serving with backpressure.
 
 mod control;
 mod queue;
@@ -109,9 +106,7 @@ pub mod fault;
 #[cfg(test)]
 mod server_tests;
 
-pub use control::{
-    AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, ReorderBuffer, SendError,
-};
-pub use queue::{RecvTimeout, RequestQueue, RequestSender, ServerRequest};
+pub use control::{AdmissionPolicy, ControlHandle, EngineStatus, RejectReason, SendError};
+pub use queue::{RequestSender, ServerRequest};
 pub use report::ServerReport;
-pub use server::{ServeOptions, ServerResponse, ServerSession, SpmmServer};
+pub use server::{ServeOptions, ServerResponse, SpmmServer};

@@ -236,8 +236,8 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     }
 
     /// Begin retiring engine `id`: it stops admitting ([`RejectReason::Draining`]
-    /// at the queue, [`JitSpmmError::EngineRetired`] on the strict session
-    /// paths), in-flight requests complete, and the next control sweep of an
+    /// at the queue, [`JitSpmmError::EngineRetired`] from
+    /// [`SpmmServer::serve_batch`]), in-flight requests complete, and the next control sweep of an
     /// open session drains its pipeline and frees its launch-slot payloads.
     /// With no session open the id goes straight to
     /// [`EngineStatus::Retired`]. Ids are never reused. Returns `false` for
@@ -373,17 +373,6 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         }
     }
 
-    /// Strict-path validation: engine id, lifecycle, then input shape.
-    fn validate_strict(&self, id: usize, input: &DenseMatrix<T>) -> Result<(), JitSpmmError> {
-        match self.control.status(id) {
-            Some(EngineStatus::Active) => {}
-            Some(_) => return Err(JitSpmmError::EngineRetired { id }),
-            // Unknown id: fall through for the richer UnknownEngine error.
-            None => {}
-        }
-        self.check_request(id, input)
-    }
-
     /// Open a [`ServerSession`] inside `scope`: one pipeline per **active**
     /// engine (each holding its engine's launch lock until the session
     /// ends), ready to route requests. `depth` is the per-engine pipeline
@@ -392,19 +381,23 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     /// overlap). Engines registered after the session opens get their
     /// pipeline lazily, on first submission to their id.
     ///
-    /// This is the low-level entry point; [`SpmmServer::serve_batch`],
-    /// [`SpmmServer::serve_stream`] and [`SpmmServer::serve_controlled`]
-    /// drive a session for you.
+    /// `contain_faults` converts worker panics into typed
+    /// [`ServerResponse::Failed`] responses for exactly the request that hit
+    /// them; a panic in a **sharded** lane additionally poisons that lane —
+    /// its sibling shard outputs are unrecoverable — failing its remaining
+    /// in-flight requests and closing it, while every other lane keeps
+    /// serving. Without it a worker panic re-raises.
     ///
     /// # Errors
     ///
     /// [`JitSpmmError::LaunchInProgress`] if the calling thread already
     /// holds a launch of any engine, or a codegen error from compiling spare
     /// slot kernels.
-    pub fn session<'scope, 'env>(
+    pub(crate) fn session<'scope, 'env>(
         &'env self,
         scope: &'scope PoolScope<'scope, 'env>,
         depth: usize,
+        contain_faults: bool,
     ) -> Result<ServerSession<'scope, 'env, 'a, T>, JitSpmmError> {
         self.control.session_opened();
         let mut session = ServerSession {
@@ -417,7 +410,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             next_request: 0,
             started: None,
             epoch_seen: 0,
-            catch_faults: false,
+            catch_faults: contain_faults,
         };
         session.sync_topology();
         for id in 0..session.lanes.len() {
@@ -464,7 +457,14 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         // Hoisted whole-batch validation: a malformed request fails the call
         // before any engine's launch lock or buffer pool is touched.
         for (index, request) in requests.iter().enumerate() {
-            self.validate_strict(request.engine, &request.input).map_err(|e| match e {
+            let id = request.engine;
+            let checked = match self.control.status(id) {
+                // An unknown id falls through for the richer UnknownEngine
+                // error.
+                Some(EngineStatus::Active) | None => self.check_request(id, &request.input),
+                Some(_) => Err(JitSpmmError::EngineRetired { id }),
+            };
+            checked.map_err(|e| match e {
                 JitSpmmError::ShapeMismatch(msg) => JitSpmmError::ShapeMismatch(format!(
                     "request {index} (engine {}): {msg}",
                     request.engine
@@ -490,155 +490,42 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
             }
         }
         self.pool.scope(|scope| {
-            let mut session = self.session(scope, depth)?;
-            let mut responses = Vec::with_capacity(requests.len());
-            for request in requests {
-                // Validation was hoisted above; don't pay it again per
-                // request on the routing path.
-                if let Some(done) = session.submit_validated(request.engine, request.input) {
-                    responses.push(done);
-                }
+            let mut session = self.session(scope, depth, false)?;
+            for mut request in requests {
+                // FIFO: every validated request runs, however long it waits.
+                request.deadline = None;
+                session.submit(request);
             }
-            let (rest, report) = session.finish();
-            responses.extend(rest);
+            let (mut responses, report) = session.finish();
             responses.sort_by_key(|r| r.request());
             Ok((responses, report))
-        })
-    }
-
-    /// Serve a request stream produced on another thread: `producer` runs on
-    /// a fresh thread with the sending side of a bounded [`RequestQueue`]
-    /// (capacity `queue_capacity`; sends block when the serving loop falls
-    /// behind — admission control, not unbounded buffering), while the
-    /// calling thread routes arrivals into the per-engine pipelines as they
-    /// come in. The stream ends when the producer drops its last
-    /// [`RequestSender`] clone; the call returns every response sorted by
-    /// global submission order, the aggregated [`ServerReport`], and the
-    /// producer's return value.
-    ///
-    /// This is the strict FIFO path; [`SpmmServer::serve_controlled`] adds
-    /// shedding policies, priorities, deadlines and graceful degradation.
-    ///
-    /// # Errors
-    ///
-    /// A malformed request ([`JitSpmmError::UnknownEngine`] /
-    /// [`JitSpmmError::EngineRetired`] / [`JitSpmmError::ShapeMismatch`])
-    /// aborts the serve: the queue is closed — unblocking any producer
-    /// mid-`send`, whose subsequent sends return
-    /// [`crate::serve::SendError::Closed`] — in-flight launches are joined,
-    /// and the error is returned after the producer thread has finished.
-    /// [`JitSpmmError::LaunchInProgress`] as for
-    /// [`SpmmServer::serve_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker panic (after joining the remaining launches) or a
-    /// producer panic; either way the queue is closed first so no thread is
-    /// left blocked.
-    pub fn serve_stream<P, R>(
-        &self,
-        depth: usize,
-        queue_capacity: usize,
-        producer: P,
-    ) -> Result<(Vec<ServerResponse<T>>, ServerReport, R), JitSpmmError>
-    where
-        P: FnOnce(RequestSender<T>) -> R + Send,
-        R: Send,
-    {
-        let mut responses = Vec::new();
-        let (report, produced) =
-            self.serve_stream_with(depth, queue_capacity, producer, |r| responses.push(r))?;
-        responses.sort_by_key(|r| r.request());
-        Ok((responses, report, produced))
-    }
-
-    /// [`SpmmServer::serve_stream`] in **response-streaming** form: instead
-    /// of collecting every response and returning them at the end, each
-    /// completed [`ServerResponse`] is handed to `consumer` as soon as its
-    /// launch joins — the shape a latency-sensitive ingestion path wants,
-    /// where a response should leave the server the moment it exists (and
-    /// its pooled output buffer recycles as soon as the consumer drops it,
-    /// instead of the whole result set staying resident).
-    ///
-    /// Responses arrive in **per-engine submission order** (each engine's
-    /// pipeline completes oldest-first); across engines the order follows
-    /// completion, not global submission — consult
-    /// [`ServerResponse::request`] to re-sequence globally, or use
-    /// [`SpmmServer::serve_stream`], which does exactly that.
-    ///
-    /// The producer/backpressure plumbing is identical to
-    /// [`SpmmServer::serve_stream`]: `producer` runs on a fresh thread
-    /// feeding a bounded [`RequestQueue`], and the queue is closed on every
-    /// exit from this call — normal return, validation error, or a panic
-    /// (the consumer's included) unwinding through it — so a producer
-    /// blocked in `send` can never deadlock against a serving loop that has
-    /// stopped consuming.
-    ///
-    /// # Errors
-    ///
-    /// As [`SpmmServer::serve_stream`].
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker, producer or consumer panic; in every case the
-    /// queue is closed and the in-flight launches joined first, so no
-    /// thread is left blocked.
-    pub fn serve_stream_with<P, R, C>(
-        &self,
-        depth: usize,
-        queue_capacity: usize,
-        producer: P,
-        mut consumer: C,
-    ) -> Result<(ServerReport, R), JitSpmmError>
-    where
-        P: FnOnce(RequestSender<T>) -> R + Send,
-        R: Send,
-        C: FnMut(ServerResponse<T>),
-    {
-        let (sender, queue) = RequestQueue::bounded(queue_capacity);
-        std::thread::scope(|threads| {
-            // Close the queue on *every* exit from this frame — normal
-            // return, validation error, or a panic unwinding through it —
-            // before `thread::scope` joins the producer, which may be
-            // blocked in `send` on a full queue.
-            let _close = CloseOnExit(&queue);
-            let producer_thread = threads.spawn(move || producer(sender));
-            let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
-                let mut session = self.session(scope, depth)?;
-                while let Some(request) = queue.recv() {
-                    if let Some(done) = session.submit(request.engine, request.input)? {
-                        consumer(done);
-                    }
-                }
-                let (rest, report) = session.finish();
-                for done in rest {
-                    consumer(done);
-                }
-                Ok(report)
-            });
-            queue.close();
-            let produced = match producer_thread.join() {
-                Ok(value) => value,
-                Err(payload) => resume_unwind(payload),
-            };
-            served.map(|report| (report, produced))
         })
     }
 
     /// The control-plane serving loop: a producer thread feeds a queue
     /// admitting under `options.admission` (block or shed, with typed
     /// [`crate::serve::SendError`]s), arrivals are re-ordered by
-    /// **priority, then deadline, then arrival** through a
-    /// [`ReorderBuffer`], deadline-expired requests are shed right before
-    /// launch, and every outcome — completed, rejected, failed — reaches
-    /// `consumer` as a typed [`ServerResponse`]. Worker panics are
-    /// contained to the request that hit them (`options.fault_containment`,
-    /// on by default); unrelated engines keep serving and the server stays
+    /// **priority, then deadline, then arrival** through a reorder buffer,
+    /// deadline-expired requests are shed right before launch, and every outcome — completed, rejected, failed — reaches
+    /// `consumer` as a typed [`ServerResponse`] the moment it exists.
+    /// Responses arrive in **per-engine submission order**; across engines
+    /// the order follows completion — consult [`ServerResponse::request`]
+    /// to re-sequence globally. Worker panics are contained to the request
+    /// that hit them; unrelated engines keep serving and the server stays
     /// usable afterwards.
     ///
-    /// The loop wakes every `options.tick` even when the queue is idle, to
-    /// apply control-plane changes (retirement drains, server-wide drain)
-    /// and to join in-flight launches so responses keep streaming.
+    /// Under [`AdmissionPolicy::blocking`] this is a plain FIFO producer
+    /// loop with backpressure: sends block while the queue is full, and the
+    /// producer ends the stream by dropping its last [`RequestSender`]
+    /// clone. The queue is closed on every exit from this call — normal
+    /// return, error, or a producer or consumer panic unwinding through it
+    /// — so a producer blocked in `send` can never deadlock against a loop
+    /// that has stopped receiving.
+    ///
+    /// The loop wakes at least every millisecond even when the queue is
+    /// idle, to apply control-plane changes (retirement drains, server-wide
+    /// drain, queued matrix updates) and to join in-flight launches so
+    /// responses keep streaming.
     ///
     /// Returns the aggregated [`ServerReport`] — `requests` counts
     /// completions only; `rejected` / `shed_deadline` / `failed` account
@@ -686,9 +573,9 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
     ///
     /// # Panics
     ///
-    /// Re-raises a producer or consumer panic (queue closed, launches
-    /// joined first). Worker panics only unwind out of here when
-    /// `options.fault_containment` is off.
+    /// Re-raises a producer or consumer panic, after closing the queue and
+    /// joining the launches still in flight. Worker panics never unwind out
+    /// of here.
     pub fn serve_controlled<P, R, C>(
         &self,
         options: ServeOptions,
@@ -700,9 +587,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         R: Send,
         C: FnMut(ServerResponse<T>),
     {
-        let (sender, queue) =
-            RequestQueue::controlled(options.admission, Arc::clone(&self.control));
-        let tick = options.tick.max(Duration::from_micros(100));
+        let (sender, queue) = RequestQueue::new(options.admission, Arc::clone(&self.control));
         // Background tier recompiles: the sweep queues (engine, shard) ids
         // here and submits one lane-capped pool job per entry, so a
         // recompile never occupies more than one worker and never blocks
@@ -717,11 +602,14 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
         let tier_background =
             options.tiering.is_some_and(|policy| policy.background) && self.pool.size() > 0;
         std::thread::scope(|threads| {
-            let _close = CloseOnExit(&queue);
+            // Owned by this frame: a panic unwinding through it (producer,
+            // consumer or session) drops — and so closes — the queue before
+            // `thread::scope` joins the producer, which may be blocked in
+            // `send` on a full queue.
+            let queue = queue;
             let producer_thread = threads.spawn(move || producer(sender));
             let served = self.pool.scope(|scope| -> Result<_, JitSpmmError> {
-                let mut session = self.session(scope, options.depth)?;
-                session.fault_containment(options.fault_containment);
+                let mut session = self.session(scope, options.depth, true)?;
                 let mut buffer = ReorderBuffer::new();
                 let mut disconnected = false;
                 loop {
@@ -744,7 +632,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                     // the burst that arrived meanwhile so the next pop
                     // compares the whole backlog.
                     if let Some(request) = buffer.pop() {
-                        session.submit_controlled(request);
+                        session.submit(request);
                         while let Some(request) = queue.try_recv() {
                             buffer.push(request);
                         }
@@ -757,7 +645,7 @@ impl<'a, T: Scalar> SpmmServer<'a, T> {
                         session.complete_any();
                         continue;
                     }
-                    match queue.recv_timeout(tick) {
+                    match queue.recv_timeout(SERVE_TICK) {
                         RecvTimeout::Request(request) => {
                             buffer.push(request);
                             while let Some(request) = queue.try_recv() {
@@ -801,13 +689,6 @@ pub struct ServeOptions {
     pub depth: usize,
     /// How the request queue admits (depth, in-flight cap, block vs shed).
     pub admission: AdmissionPolicy,
-    /// How often the serving loop wakes on an idle queue to apply control
-    /// changes and join in-flight launches. Clamped to at least 100µs.
-    pub tick: Duration,
-    /// Convert worker panics into typed [`ServerResponse::Failed`]
-    /// responses (on by default). Off restores the strict re-raise
-    /// behavior of [`SpmmServer::serve_stream_with`].
-    pub fault_containment: bool,
     /// Promote tiered engines mid-session: every control sweep polls their
     /// warmup state, schedules the profile-guided recompile, and hot-swaps
     /// ready kernels between batches (sharded engines promote per shard).
@@ -821,16 +702,9 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults (auto depth, 1ms tick, fault containment on, no tiering)
-    /// with the given admission policy.
+    /// Defaults (auto depth, no tiering) with the given admission policy.
     pub fn new(admission: AdmissionPolicy) -> ServeOptions {
-        ServeOptions {
-            depth: 0,
-            admission,
-            tick: Duration::from_millis(1),
-            fault_containment: true,
-            tiering: None,
-        }
+        ServeOptions { depth: 0, admission, tiering: None }
     }
 
     /// Set the per-engine pipeline depth.
@@ -853,14 +727,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// Closes the borrowed queue when dropped; see [`SpmmServer::serve_stream`].
-struct CloseOnExit<'q, T: Scalar>(&'q RequestQueue<T>);
-
-impl<T: Scalar> Drop for CloseOnExit<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
+/// How long [`SpmmServer::serve_controlled`] parks on an idle queue before
+/// it sweeps control-plane changes and joins in-flight launches.
+const SERVE_TICK: Duration = Duration::from_millis(1);
 
 /// The outcome of one serving request: completed with an output, rejected
 /// by the control plane with a typed [`RejectReason`], or failed after
@@ -1052,9 +921,9 @@ impl<'scope, 'env, T: Scalar> Lane<'scope, 'env, T> {
 ///
 /// The session holds every open lane's launch lock until it is finished or
 /// dropped (dropping joins all in-flight launches and discards their
-/// results). Submit with [`ServerSession::submit`]; drain with
+/// results). Route with [`ServerSession::submit`]; drain with
 /// [`ServerSession::finish`].
-pub struct ServerSession<'scope, 'env, 'a, T: Scalar> {
+pub(crate) struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     /// `'a` is the server's own data lifetime (the matrices its engines
     /// borrow), `'env` the session's borrow of it — kept apart because the
     /// registry mutex makes [`SpmmServer`] invariant in `'a`.
@@ -1064,7 +933,7 @@ pub struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     depth: usize,
     lanes: Vec<Lane<'scope, 'env, T>>,
     /// Responses produced but not yet handed out (the controlled loop
-    /// drains this; the strict paths surface it at finish).
+    /// drains this; `serve_batch` collects it at finish).
     ready: VecDeque<ServerResponse<T>>,
     counters: ServeCounters,
     /// Next global submission sequence number.
@@ -1079,25 +948,21 @@ pub struct ServerSession<'scope, 'env, 'a, T: Scalar> {
     catch_faults: bool,
 }
 
-impl<T: Scalar> std::fmt::Debug for ServerSession<'_, '_, '_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerSession")
-            .field("engines", &self.lanes.len())
-            .field("submitted", &self.next_request)
-            .field("ready", &self.ready.len())
-            .finish()
+/// Run `f`; with `catch` set, a panic comes back as `Err` carrying its
+/// message, otherwise it unwinds through.
+fn guarded<R>(catch: bool, f: impl FnOnce() -> R) -> Result<R, String> {
+    if !catch {
+        return Ok(f());
     }
-}
-
-/// Extract a printable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panic".to_string()
-    }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "worker panic".to_string()
+        }
+    })
 }
 
 /// Build a lane's per-engine [`BatchReport`] from the statistics it
@@ -1143,19 +1008,6 @@ fn emit_completed<T: Scalar>(
     ready.push_back(ServerResponse::Completed { engine, index, request, output, report });
 }
 
-/// Pop the lane's oldest pending sequence number and queue a typed failure.
-fn emit_failed<T: Scalar>(
-    lane: &mut Lane<'_, '_, T>,
-    engine: usize,
-    ready: &mut VecDeque<ServerResponse<T>>,
-    counters: &mut ServeCounters,
-    message: String,
-) {
-    let request = lane.pending.pop_front().expect("failed launches were submitted");
-    counters.failed += 1;
-    ready.push_back(ServerResponse::Failed { engine, request, message });
-}
-
 impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// Grow the lane vector to cover engines registered since the last
     /// look; new lanes open their pipeline lazily, on first submission.
@@ -1188,24 +1040,13 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         Ok(())
     }
 
-    /// Turn worker-panic containment on or off for this session (off by
-    /// default; [`SpmmServer::serve_controlled`] turns it on). Contained
-    /// panics surface as [`ServerResponse::Failed`] for exactly the request
-    /// that hit them; a panic in a **sharded** lane additionally poisons
-    /// that lane — its sibling shard outputs are unrecoverable — failing
-    /// its remaining in-flight requests and closing it, while every other
-    /// lane keeps serving.
-    pub fn fault_containment(&mut self, on: bool) {
-        self.catch_faults = on;
-    }
-
     /// Apply pending control-plane changes: pick up newly registered
     /// engines, and drain + close the lanes of engines marked
     /// [`EngineStatus::Draining`] (their in-flight requests complete and
     /// surface as ready responses; their launch-slot payloads are freed
     /// with the closed stream; the control plane then records them
     /// [`EngineStatus::Retired`]). Cheap when nothing changed.
-    pub fn apply_control(&mut self) {
+    pub(crate) fn apply_control(&mut self) {
         // Queued matrix updates are checked on every sweep, not just on an
         // epoch bump: a deferred update — requeued because some stream
         // still pinned its engine's generation — must be retried even when
@@ -1277,7 +1118,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// was joined.
     fn complete_one(&mut self, id: usize) -> bool {
         let catch = self.catch_faults;
-        let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
+        let ServerSession { lanes, ready, counters, .. } = &mut *self;
         let lane = &mut lanes[id];
         let Some(stream) = lane.stream.as_mut() else {
             return false;
@@ -1285,47 +1126,46 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         if stream.in_flight() == 0 {
             return false;
         }
-        if !catch {
-            // Strict semantics: a worker panic re-raises here (the batch
-            // layer restores its bookkeeping first; unwinding drops the
-            // session, joining everything else).
-            let (output, report) = stream.complete_next().expect("in-flight checked above");
-            emit_completed(lane, id, ready, counters, output, report);
-            return true;
-        }
-        match catch_unwind(AssertUnwindSafe(|| stream.complete_next())) {
+        // Without containment a worker panic re-raises here (the batch layer
+        // restores its bookkeeping first; unwinding drops the session,
+        // joining everything else).
+        match guarded(catch, || stream.complete_next()) {
             Ok(Some((output, report))) => {
                 emit_completed(lane, id, ready, counters, output, report);
             }
             Ok(None) => return false,
-            Err(payload) => {
-                let poisoned = stream.is_sharded();
-                emit_failed(lane, id, ready, counters, panic_message(payload.as_ref()));
-                if poisoned {
-                    // A sharded lane lost lockstep: the panicking input's
-                    // sibling shard outputs were discarded with the unwind.
-                    // Close the lane — dropping the stream joins what's
-                    // left and frees its slot payloads — and fail its
-                    // remaining requests; unrelated lanes are untouched.
-                    drop(lane.stream.take());
-                    while !lane.pending.is_empty() {
-                        emit_failed(
-                            lane,
-                            id,
-                            ready,
-                            counters,
-                            "sharded lane poisoned by a worker panic".to_string(),
-                        );
-                    }
-                    lane.report = Some(lane_report(
-                        lane,
-                        server.engine_strategy(id),
-                        server.engine_tier_info(id),
-                    ));
-                }
+            Err(message) => {
+                let request = lane.pending.pop_front().expect("failed launches were submitted");
+                self.contain_panic(id, request, message);
             }
         }
         true
+    }
+
+    /// Answer `request` — whose launch on lane `engine` panicked, and which
+    /// is already off the lane's pending list — with a typed failure. A
+    /// sharded lane also lost lockstep: the panicking input's sibling shard
+    /// outputs were discarded with the unwind. Close it — dropping the
+    /// stream joins what's left and frees its slot payloads — and fail its
+    /// remaining requests; unrelated lanes are untouched.
+    fn contain_panic(&mut self, engine: usize, request: usize, message: String) {
+        self.fail(engine, request, message);
+        let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
+        let lane = &mut lanes[engine];
+        if !lane.stream.as_ref().is_some_and(RouteStream::is_sharded) {
+            return;
+        }
+        drop(lane.stream.take());
+        while let Some(request) = lane.pending.pop_front() {
+            counters.failed += 1;
+            let message = "sharded lane poisoned by a worker panic".to_string();
+            ready.push_back(ServerResponse::Failed { engine, request, message });
+        }
+        lane.report = Some(lane_report(
+            lane,
+            server.engine_strategy(engine),
+            server.engine_tier_info(engine),
+        ));
     }
 
     /// Join the in-flight launch whose response is globally oldest, if any;
@@ -1452,163 +1292,46 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     }
 
     /// Total launches currently in flight across all lanes.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.lanes.iter().filter_map(|l| l.stream.as_ref()).map(|s| s.in_flight()).sum()
     }
 
-    /// Route one owned request to engine `engine` — the strict session
-    /// path: FIFO, no deadline/priority handling, errors instead of typed
-    /// rejections. If that engine's pipeline is at depth, the oldest
-    /// in-flight launch **of that engine** is waited for first and its
-    /// response returned; otherwise the call does not block and returns
-    /// `None`. Responses of other engines are never returned here — they
-    /// surface when their own engine is pushed again, or at
-    /// [`ServerSession::finish`].
-    ///
-    /// # Errors
-    ///
-    /// [`JitSpmmError::UnknownEngine`] for an out-of-range engine id,
-    /// [`JitSpmmError::EngineRetired`] for a draining/retired one, and
-    /// [`JitSpmmError::ShapeMismatch`] if the input is not that engine's
-    /// `A.ncols() x d` — all checked before any launch state is touched;
-    /// the rejected input is dropped and the session continues unharmed.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a worker panic from the completed launch (the session is
-    /// then dropped by unwinding, which joins all remaining launches and
-    /// releases every engine), unless [`ServerSession::fault_containment`]
-    /// is on.
-    pub fn submit(
-        &mut self,
-        engine: usize,
-        input: DenseMatrix<T>,
-    ) -> Result<Option<ServerResponse<T>>, JitSpmmError> {
-        self.sync_topology();
-        if engine >= self.lanes.len() {
-            return Err(JitSpmmError::UnknownEngine {
-                requested: engine,
-                engines: self.lanes.len(),
-            });
-        }
-        match self.server.ctrl().status(engine) {
-            Some(EngineStatus::Active) => {}
-            _ => return Err(JitSpmmError::EngineRetired { id: engine }),
-        }
-        self.server.check_request(engine, &input)?;
-        self.open_stream(engine)?;
-        Ok(self.submit_validated(engine, input))
-    }
-
-    /// [`ServerSession::submit`] for pre-validated requests —
-    /// [`SpmmServer::serve_batch`] hoists the whole-batch validation out of
-    /// the routing loop, mirroring the batch layer's
-    /// `push_validated`/`push_owned_validated` split.
-    pub(crate) fn submit_validated(
-        &mut self,
-        engine: usize,
-        input: DenseMatrix<T>,
-    ) -> Option<ServerResponse<T>> {
-        self.started.get_or_insert_with(Instant::now);
-        let seq = self.next_request;
-        self.next_request += 1;
-        if self.lanes[engine].stream.is_none()
-            && (self.lanes[engine].report.is_some() || self.open_stream(engine).is_err())
-        {
-            // The lane closed between validation and routing (a concurrent
-            // retirement): a typed rejection, not a lost request.
-            self.counters.rejected += 1;
-            return Some(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::Draining,
-            });
-        }
-        let ServerSession { lanes, ready, counters, .. } = &mut *self;
-        let lane = &mut lanes[engine];
-        lane.pending.push_back(seq);
-        lane.started.get_or_insert_with(Instant::now);
-        let stream = lane.stream.as_mut().expect("lane opened above");
-        let done = stream.push_owned(input);
-        done.map(|(output, report)| {
-            emit_completed(lane, engine, ready, counters, output, report);
-            ready.pop_back().expect("emitted just above")
-        })
-    }
-
-    /// The controlled routing path: every outcome — launch, typed
-    /// rejection, contained failure — is queued as a ready response; the
-    /// caller drains [`ServerSession::take_ready`]. Checks, in order:
-    /// engine id, lifecycle, input shape, deadline on arrival, room in the
-    /// pipeline (joining older launches as needed), and the deadline
-    /// **again** right before the push, so time burned waiting for room
-    /// sheds the request instead of launching it late.
-    pub(crate) fn submit_controlled(&mut self, request: ServerRequest<T>) {
+    /// Route one request — the session's only routing path. Every outcome
+    /// (a launch, a typed rejection, a contained failure) is queued as a
+    /// ready response, handed out by [`ServerSession::take_ready`] or
+    /// [`ServerSession::finish`]. Checks, in order: engine id, lifecycle,
+    /// input shape, deadline on arrival, room in the pipeline (joining older
+    /// launches as needed), and the deadline **again** right before the
+    /// push, so time burned waiting for room sheds the request instead of
+    /// launching it late.
+    pub(crate) fn submit(&mut self, request: ServerRequest<T>) {
         self.started.get_or_insert_with(Instant::now);
         self.sync_topology();
         let engine = request.engine;
         let seq = self.next_request;
         self.next_request += 1;
         if engine >= self.lanes.len() {
-            self.counters.rejected += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::UnknownEngine,
-            });
-            return;
+            return self.reject(engine, seq, RejectReason::UnknownEngine);
         }
         if self.server.ctrl().status(engine) != Some(EngineStatus::Active)
             || self.lanes[engine].report.is_some()
         {
-            self.counters.rejected += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::Draining,
-            });
-            return;
+            return self.reject(engine, seq, RejectReason::Draining);
         }
         if let Err(error) = self.server.check_request(engine, &request.input) {
-            self.counters.failed += 1;
-            self.ready.push_back(ServerResponse::Failed {
-                engine,
-                request: seq,
-                message: error.to_string(),
-            });
-            return;
+            return self.fail(engine, seq, error.to_string());
         }
         if request.expired(Instant::now()) {
-            self.counters.shed_deadline += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::DeadlinePassed,
-            });
-            return;
+            return self.reject(engine, seq, RejectReason::DeadlinePassed);
         }
         if let Err(error) = self.open_stream(engine) {
-            self.counters.failed += 1;
-            self.ready.push_back(ServerResponse::Failed {
-                engine,
-                request: seq,
-                message: error.to_string(),
-            });
-            return;
+            return self.fail(engine, seq, error.to_string());
         }
         // Make room, joining this lane's oldest launches; a fault while
         // joining can poison (close) the lane under us.
         loop {
             match self.lanes[engine].stream.as_ref() {
-                None => {
-                    self.counters.rejected += 1;
-                    self.ready.push_back(ServerResponse::Rejected {
-                        engine,
-                        request: seq,
-                        reason: RejectReason::Draining,
-                    });
-                    return;
-                }
+                None => return self.reject(engine, seq, RejectReason::Draining),
                 Some(stream) if stream.is_full() => {
                     self.complete_one(engine);
                 }
@@ -1618,75 +1341,52 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
         // The deadline check at push: waiting for room may have burned the
         // request's budget.
         if request.expired(Instant::now()) {
-            self.counters.shed_deadline += 1;
-            self.ready.push_back(ServerResponse::Rejected {
-                engine,
-                request: seq,
-                reason: RejectReason::DeadlinePassed,
-            });
-            return;
+            return self.reject(engine, seq, RejectReason::DeadlinePassed);
         }
         let catch = self.catch_faults;
-        let ServerSession { lanes, ready, counters, server, .. } = &mut *self;
+        let ServerSession { lanes, ready, counters, .. } = &mut *self;
         let lane = &mut lanes[engine];
         lane.pending.push_back(seq);
         lane.started.get_or_insert_with(Instant::now);
         let stream = lane.stream.as_mut().expect("lane checked above");
         let input = request.input;
-        let pushed = if catch {
-            catch_unwind(AssertUnwindSafe(|| stream.push_owned(input)))
-        } else {
-            Ok(stream.push_owned(input))
-        };
-        match pushed {
-            Ok(done) => {
-                // The pipeline was pre-drained below depth, so a push can
-                // only hand back a result on the sequential fast path
-                // (where the kernel ran synchronously just now).
-                if let Some((output, report)) = done {
-                    emit_completed(lane, engine, ready, counters, output, report);
-                }
+        match guarded(catch, || stream.push_owned(input)) {
+            // The pipeline was pre-drained below depth, so a push can only
+            // hand back a result on the sequential fast path (where the
+            // kernel ran synchronously just now).
+            Ok(Some((output, report))) => {
+                emit_completed(lane, engine, ready, counters, output, report);
             }
-            Err(payload) => {
-                // The panic fired during the synchronous (sequential-mode)
-                // kernel run of *this* request, before it entered the
-                // pipeline: un-book it and fail it. A single-engine stream
-                // stays consistent (the batch layer restores its bookkeeping
-                // before unwinding); a sharded stream may have fanned the
-                // input out to some shards but not others, so treat the
-                // lane as poisoned exactly like a pipelined shard panic.
-                let poisoned = lane.stream.as_ref().is_some_and(RouteStream::is_sharded);
+            Ok(None) => {}
+            // The panic fired during the synchronous (sequential-mode)
+            // kernel run of *this* request, before it entered the pipeline:
+            // un-book it and fail it. A single-engine stream stays
+            // consistent (the batch layer restores its bookkeeping before
+            // unwinding); a sharded stream may have fanned the input out to
+            // some shards but not others, so it is poisoned exactly like a
+            // pipelined shard panic.
+            Err(message) => {
                 lane.pending.pop_back();
-                counters.failed += 1;
-                ready.push_back(ServerResponse::Failed {
-                    engine,
-                    request: seq,
-                    message: panic_message(payload.as_ref()),
-                });
-                if poisoned {
-                    drop(lane.stream.take());
-                    while !lane.pending.is_empty() {
-                        emit_failed(
-                            lane,
-                            engine,
-                            ready,
-                            counters,
-                            "sharded lane poisoned by a worker panic".to_string(),
-                        );
-                    }
-                    lane.report = Some(lane_report(
-                        lane,
-                        server.engine_strategy(engine),
-                        server.engine_tier_info(engine),
-                    ));
-                }
+                self.contain_panic(engine, seq, message);
             }
         }
     }
 
-    /// Number of requests submitted so far, across all engines.
-    pub fn submitted(&self) -> usize {
-        self.next_request
+    /// Answer request `request` with a typed rejection, counted as a
+    /// deadline shed or a plain rejection.
+    fn reject(&mut self, engine: usize, request: usize, reason: RejectReason) {
+        if reason == RejectReason::DeadlinePassed {
+            self.counters.shed_deadline += 1;
+        } else {
+            self.counters.rejected += 1;
+        }
+        self.ready.push_back(ServerResponse::Rejected { engine, request, reason });
+    }
+
+    /// Answer request `request` with a typed failure.
+    fn fail(&mut self, engine: usize, request: usize, message: String) {
+        self.counters.failed += 1;
+        self.ready.push_back(ServerResponse::Failed { engine, request, message });
     }
 
     /// Drain every lane (in engine-id order, oldest launch first within
@@ -1699,7 +1399,7 @@ impl<T: Scalar> ServerSession<'_, '_, '_, T> {
     /// Re-raises the first worker panic among the remaining launches, after
     /// all of them have been joined — unless fault containment is on, in
     /// which case panics surface as [`ServerResponse::Failed`] responses.
-    pub fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
+    pub(crate) fn finish(mut self) -> (Vec<ServerResponse<T>>, ServerReport) {
         self.apply_control();
         for id in 0..self.lanes.len() {
             self.close_lane(id);

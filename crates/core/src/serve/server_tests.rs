@@ -7,6 +7,7 @@ use crate::engine::JitSpmmBuilder;
 use crate::error::JitSpmmError;
 use crate::runtime::WorkerPool;
 use crate::schedule::Strategy;
+use crate::serve::control::AdmissionPolicy;
 use crate::serve::queue::ServerRequest;
 use jitspmm_asm::CpuFeatures;
 use jitspmm_sparse::DenseMatrix;
@@ -120,6 +121,8 @@ fn mixed_stream_matches_per_engine_sequential_execution() {
     }
 }
 
+/// A request stream fed from a producer thread, served under blocking
+/// admission, matches per-engine sequential execution.
 #[test]
 fn serve_stream_routes_cross_thread_producers() {
     if !host_ok() {
@@ -139,18 +142,24 @@ fn serve_stream_routes_cross_thread_producers() {
     let server = SpmmServer::new(engines).unwrap();
     let ms_ref = &ms;
     let dims_ref = &dims;
-    let (responses, report, produced) = server
-        .serve_stream(0, 3, move |sender| {
-            let mut sent = 0usize;
-            for i in 0..10usize {
-                let e = i % dims_ref.len();
-                if sender.send(e, input_for(&ms_ref[e], dims_ref[e], 800 + i as u64)).is_ok() {
-                    sent += 1;
+    let mut responses = Vec::new();
+    let (report, produced) = server
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(3)),
+            move |sender| {
+                let mut sent = 0usize;
+                for i in 0..10usize {
+                    let e = i % dims_ref.len();
+                    if sender.send(e, input_for(&ms_ref[e], dims_ref[e], 800 + i as u64)).is_ok() {
+                        sent += 1;
+                    }
                 }
-            }
-            sent
-        })
+                sent
+            },
+            |response| responses.push(response),
+        )
         .unwrap();
+    responses.sort_by_key(|r| r.request());
     assert_eq!(produced, 10);
     assert_eq!(report.requests, 10);
     assert_eq!(responses.len(), 10);
@@ -158,41 +167,6 @@ fn serve_stream_routes_cross_thread_producers() {
         assert_eq!(**response.output(), expected[i], "streamed request {i} diverged");
     }
     assert!(report.elapsed >= report.per_engine.iter().map(|r| r.elapsed).max().unwrap());
-}
-
-#[test]
-fn session_validates_before_touching_engine_state() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    let ms = matrices();
-    let pool = WorkerPool::new(2);
-    let engines = build_engines(&pool, &ms);
-    let d0 = engines[0].d();
-    let server = SpmmServer::new(engines).unwrap();
-    server.pool().clone().scope(|scope| {
-        let mut session = server.session(scope, 2).unwrap();
-        // Unknown engine id: refused, nothing submitted.
-        assert!(matches!(
-            session.submit(7, input_for(&ms[0], d0, 1)).unwrap_err(),
-            JitSpmmError::UnknownEngine { requested: 7, engines: 3 }
-        ));
-        // Wrong shape for engine 0: refused, session unharmed.
-        assert!(matches!(
-            session.submit(0, DenseMatrix::<f32>::zeros(5, 5)).unwrap_err(),
-            JitSpmmError::ShapeMismatch(_)
-        ));
-        assert_eq!(session.submitted(), 0);
-        // The session still serves fine afterwards.
-        let good = input_for(&ms[0], d0, 2);
-        let expected = server.single(0).unwrap().matrix().spmm_reference(&good);
-        session.submit(0, good).unwrap();
-        let (rest, report) = session.finish();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(report.requests, 1);
-        assert!(rest[0].output().approx_eq(&expected, 1e-4));
-    });
 }
 
 #[test]
@@ -228,42 +202,6 @@ fn serve_batch_rejects_malformed_requests_up_front() {
     let good = vec![ServerRequest::new(0, input_for(&ms[0], d0, 2))];
     let (responses, _) = server.serve_batch(0, good).unwrap();
     assert_eq!(responses.len(), 1);
-}
-
-#[test]
-fn serve_stream_error_unblocks_producers() {
-    if !host_ok() {
-        eprintln!("skipping: host lacks AVX/FMA");
-        return;
-    }
-    let ms = matrices();
-    let pool = WorkerPool::new(2);
-    let engines = build_engines(&pool, &ms);
-    let d0 = engines[0].d();
-    let server = SpmmServer::new(engines).unwrap();
-    let ms_ref = &ms;
-    // The second request is malformed; the producer keeps trying to send
-    // on a tiny queue and must terminate (sends returning false) instead
-    // of deadlocking against an aborted serving loop.
-    let result = server.serve_stream(0, 1, move |sender| {
-        let mut refused = 0usize;
-        for i in 0..50usize {
-            let input = if i == 1 {
-                DenseMatrix::<f32>::zeros(2, 2)
-            } else {
-                input_for(&ms_ref[0], d0, i as u64)
-            };
-            if sender.send(0, input).is_err() {
-                refused += 1;
-            }
-        }
-        refused
-    });
-    assert!(matches!(result.unwrap_err(), JitSpmmError::ShapeMismatch(_)));
-    // The engines remain usable.
-    let x = input_for(&ms[0], d0, 99);
-    let (y, _) = server.single(0).unwrap().execute(&x).unwrap();
-    assert!(y.approx_eq(&ms[0].spmm_reference(&x), 1e-4));
 }
 
 #[test]
@@ -364,6 +302,8 @@ fn sharded_engine_serves_behind_one_logical_id() {
     ));
 }
 
+/// Each response of a served request stream reaches the consumer callback
+/// as soon as it exists, in per-engine submission order.
 #[test]
 fn serve_stream_with_hands_responses_to_the_consumer() {
     if !host_ok() {
@@ -384,9 +324,8 @@ fn serve_stream_with_hands_responses_to_the_consumer() {
     let (ms_ref, dims_ref) = (&ms, &dims);
     let mut streamed = Vec::new();
     let (report, produced) = server
-        .serve_stream_with(
-            0,
-            3,
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(3)),
             move |sender| {
                 let mut sent = 0usize;
                 for i in 0..9usize {
@@ -432,29 +371,39 @@ fn panicking_consumer_still_closes_the_queue() {
     // The consumer panics on the first response while the producer still
     // has dozens of sends to push through a capacity-1 queue: the panic
     // must close the queue (producer sends return false instead of
-    // blocking forever) and then propagate. The test completing at all is
-    // the no-deadlock assertion.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        server.serve_stream_with(
-            0,
-            1,
-            move |sender| {
-                let mut refused = 0usize;
-                for i in 0..50usize {
-                    if sender.send(0, input_for(&ms_ref[0], d0, i as u64)).is_err() {
-                        refused += 1;
+    // blocking forever) and then propagate. A producer that panics
+    // mid-stream must likewise end the serve and propagate, with the
+    // launches it fed joined. The test completing at all is the
+    // no-deadlock assertion.
+    for panicking in ["consumer", "producer"] {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            server.serve_controlled(
+                ServeOptions::new(AdmissionPolicy::blocking(1)),
+                move |sender| {
+                    let mut refused = 0usize;
+                    for i in 0..50usize {
+                        if panicking == "producer" && i == 25 {
+                            panic!("producer exploded");
+                        }
+                        if sender.send(0, input_for(&ms_ref[0], d0, i as u64)).is_err() {
+                            refused += 1;
+                        }
                     }
-                }
-                refused
-            },
-            |_response| panic!("consumer exploded"),
-        )
-    }));
-    let payload = result.unwrap_err();
-    let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-    assert_eq!(message, "consumer exploded");
-    // The server (and its engines) remain fully usable afterwards.
-    let x = input_for(&ms[0], d0, 123);
-    let (y, _) = server.single(0).unwrap().execute(&x).unwrap();
-    assert!(y.approx_eq(&ms[0].spmm_reference(&x), 1e-4));
+                    refused
+                },
+                |_response| {
+                    if panicking == "consumer" {
+                        panic!("consumer exploded");
+                    }
+                },
+            )
+        }));
+        let payload = result.unwrap_err();
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, format!("{panicking} exploded"));
+        // The server (and its engines) remain fully usable afterwards.
+        let x = input_for(&ms[0], d0, 123);
+        let (y, _) = server.single(0).unwrap().execute(&x).unwrap();
+        assert!(y.approx_eq(&ms[0].spmm_reference(&x), 1e-4));
+    }
 }

@@ -129,21 +129,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         JitSpmmBuilder::new().pool(serve_pool.clone()).threads(1).build(&small_b, 8)?,
     ])?;
     let cols = (small_a.ncols(), small_b.ncols());
-    let (responses, report, sent) = server.serve_stream(0, 4, move |sender| {
-        let mut sent = 0usize;
-        for i in 0..10u64 {
-            let engine = (i % 2) as usize;
-            let input = if engine == 0 {
-                DenseMatrix::random(cols.0, 16, 200 + i)
-            } else {
-                DenseMatrix::random(cols.1, 8, 300 + i)
-            };
-            if sender.send(engine, input).is_ok() {
-                sent += 1;
+    let mut responses = Vec::new();
+    let (report, sent) = server.serve_controlled(
+        ServeOptions::new(AdmissionPolicy::blocking(4)),
+        move |sender| {
+            let mut sent = 0usize;
+            for i in 0..10u64 {
+                let engine = (i % 2) as usize;
+                let input = if engine == 0 {
+                    DenseMatrix::random(cols.0, 16, 200 + i)
+                } else {
+                    DenseMatrix::random(cols.1, 8, 300 + i)
+                };
+                if sender.send(engine, input).is_ok() {
+                    sent += 1;
+                }
             }
-        }
-        sent
-    })?;
+            sent
+        },
+        |response| responses.push(response),
+    )?;
+    // Responses stream out in per-engine order; re-sequence globally.
+    responses.sort_by_key(|r| r.request());
     println!(
         "mixed serving: {} of {sent} requests over {} engines in {:?} ({:.0} req/s; \
          kernel p99 per engine: {:?} / {:?})",
@@ -245,10 +252,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "engine 1 retired ({:?}); server drained and still serving engine 0",
         server.engine_status(1).unwrap()
     );
-    let (responses, _, _) = server.serve_stream(0, 4, move |sender| {
-        sender.send(0, DenseMatrix::random(cols.0, 16, 999)).expect("engine 0 still serves");
-    })?;
-    assert_eq!(responses.len(), 1);
+    let (post_retirement, ()) = server.serve_controlled(
+        ServeOptions::new(AdmissionPolicy::blocking(4)),
+        move |sender| {
+            sender.send(0, DenseMatrix::random(cols.0, 16, 999)).expect("engine 0 still serves");
+        },
+        |response| assert!(response.is_completed()),
+    )?;
+    assert_eq!(post_retirement.requests, 1);
     println!("post-retirement request on engine 0 verified");
 
     // 11. Mutate a served matrix live: register a *mutable* engine, serve

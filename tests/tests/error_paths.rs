@@ -7,7 +7,9 @@
 //! any rejected call the engine (or server) must serve a well-formed request
 //! exactly as if the bad one had never happened.
 
-use jitspmm::serve::{ServerRequest, SpmmServer};
+use jitspmm::serve::{
+    AdmissionPolicy, RejectReason, SendError, ServeOptions, ServerRequest, SpmmServer,
+};
 use jitspmm::{JitSpmm, JitSpmmBuilder, JitSpmmError, SpmmOptions, WorkerPool};
 use jitspmm_integration_tests::host_supports_jit;
 use jitspmm_sparse::{generate, CsrMatrix, DenseMatrix};
@@ -98,35 +100,40 @@ fn entry_points() -> Vec<EntryPoint> {
             },
         },
         EntryPoint {
-            name: "server submit",
+            name: "server serve_batch",
             run: |engine, x| {
-                // A single-engine server wrapped around a compatible spare
-                // engine: route the bad input through the serving layer.
-                let server_engine = JitSpmmBuilder::new()
-                    .pool(engine.pool().clone())
-                    .threads(1)
-                    .build(engine.matrix(), engine.d())
-                    .expect("compiling the server's engine");
-                let server = SpmmServer::new(vec![server_engine]).expect("building the server");
-                server.pool().clone().scope(|scope| {
-                    let mut session = server.session(scope, 2)?;
-                    session.submit(0, x).map(drop)
-                })
+                server_around(engine).serve_batch(0, vec![ServerRequest::new(0, x)]).map(drop)
             },
         },
         EntryPoint {
-            name: "server serve_batch",
+            name: "server serve_controlled",
             run: |engine, x| {
-                let server_engine = JitSpmmBuilder::new()
-                    .pool(engine.pool().clone())
-                    .threads(1)
-                    .build(engine.matrix(), engine.d())
-                    .expect("compiling the server's engine");
-                let server = SpmmServer::new(vec![server_engine]).expect("building the server");
-                server.serve_batch(0, vec![ServerRequest::new(0, x)]).map(drop)
+                let mut failure = None;
+                server_around(engine).serve_controlled(
+                    ServeOptions::default(),
+                    |sender| sender.send(0, x).expect("a request to a live engine is admitted"),
+                    |response| failure = response.failure().map(str::to_string),
+                )?;
+                // The serving loop answers a malformed request with a typed
+                // failure that carries the shape error.
+                match failure.as_deref().and_then(|m| m.strip_prefix("shape mismatch: ")) {
+                    Some(message) => Err(JitSpmmError::ShapeMismatch(message.to_string())),
+                    None => Ok(()),
+                }
             },
         },
     ]
+}
+
+/// A single-engine server wrapped around a compatible spare engine, so bad
+/// inputs can be routed through the serving layer.
+fn server_around<'a>(engine: &'a JitSpmm<'_, f32>) -> SpmmServer<'a, f32> {
+    let server_engine = JitSpmmBuilder::new()
+        .pool(engine.pool().clone())
+        .threads(1)
+        .build(engine.matrix(), engine.d())
+        .expect("compiling the server's engine");
+    SpmmServer::new(vec![server_engine]).expect("building the server")
 }
 
 #[test]
@@ -198,23 +205,21 @@ fn server_rejects_unknown_engine_ids_everywhere() {
         server.serve_batch(0, vec![ServerRequest::new(3, input())]).unwrap_err(),
         JitSpmmError::UnknownEngine { requested: 3, engines: 1 }
     ));
-    // session submit: validated per request.
-    server.pool().clone().scope(|scope| {
-        let mut session = server.session(scope, 0).unwrap();
-        assert!(matches!(
-            session.submit(1, input()).unwrap_err(),
-            JitSpmmError::UnknownEngine { requested: 1, engines: 1 }
-        ));
-        // A good request still goes through afterwards.
-        assert!(session.submit(0, input()).is_ok());
-        let (rest, report) = session.finish();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(report.requests, 1);
-    });
-    // serve_stream: the error aborts the serve without wedging producers.
-    let result = server.serve_stream(0, 1, |sender| {
-        let _ = sender.send(5, input());
-        let _ = sender.send(5, input());
-    });
-    assert!(matches!(result.unwrap_err(), JitSpmmError::UnknownEngine { .. }));
+    // serve_controlled: refused at the queue with a typed rejection, per
+    // request; a good request still goes through afterwards.
+    let (report, ()) = server
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(1)),
+            |sender| {
+                assert_eq!(
+                    sender.send(1, input()),
+                    Err(SendError::Rejected(RejectReason::UnknownEngine))
+                );
+                sender.send(0, input()).unwrap();
+            },
+            |response| assert!(response.is_completed()),
+        )
+        .unwrap();
+    assert_eq!(report.requests, 1);
+    assert_eq!(report.rejected, 1);
 }

@@ -34,11 +34,18 @@ fn a_kernel_panic_fails_only_its_request() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
+    // One worker at an explicit depth of 2 forces real pipelining even on a
+    // single-core host, so the panic surfaces on the complete side of the
+    // stream. Zero workers at auto depth take the batch layer's sequential
+    // fast path on every host, so the panic fires inside the push instead.
+    for (pool, depth) in [(WorkerPool::new(1), 2), (WorkerPool::inline(), 0)] {
+        kernel_panic_fails_only_its_request(pool, depth);
+    }
+}
+
+fn kernel_panic_fails_only_its_request(pool: WorkerPool, depth: usize) {
     let a = small_uniform();
     let b = small_skewed();
-    // One worker: kernel jobs enter in submission order, so the armed
-    // countdown deterministically hits the first request sent.
-    let pool = WorkerPool::new(1);
     let server = SpmmServer::new(vec![
         JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&a, D).unwrap(),
         JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap(),
@@ -67,10 +74,7 @@ fn a_kernel_panic_fails_only_its_request() {
     let mut completed: Vec<DenseMatrix<f32>> = Vec::new();
     let (report, ()) = server
         .serve_controlled(
-            // Explicit depth 2 forces real pipelining even on a single-core
-            // host, so the panic surfaces on the complete side of the
-            // stream, not inside the synchronous push.
-            ServeOptions::new(AdmissionPolicy::blocking(8)).with_depth(2),
+            ServeOptions::new(AdmissionPolicy::blocking(8)).with_depth(depth),
             |sender| {
                 for (engine, x) in requests.iter() {
                     sender.send_request(ServerRequest::new(*engine, x.clone())).unwrap();
@@ -190,9 +194,17 @@ fn a_shard_panic_poisons_only_that_sharded_lane() {
         eprintln!("skipping: host lacks AVX/FMA");
         return;
     }
+    // Both at auto depth. One worker pipelines the shard streams on
+    // multi-core hosts, so the panic surfaces when a launch is joined; zero
+    // workers take the sequential fast path, so it fires inside the push.
+    for pool in [WorkerPool::new(1), WorkerPool::inline()] {
+        shard_panic_poisons_only_that_sharded_lane(pool);
+    }
+}
+
+fn shard_panic_poisons_only_that_sharded_lane(pool: WorkerPool) {
     let a = small_uniform();
     let b = small_skewed();
-    let pool = WorkerPool::new(1);
     let sharded = jitspmm::MutableSpmm::compile(&a, 2, 1, D, pool.clone()).unwrap();
     let single = JitSpmmBuilder::new().pool(pool.clone()).threads(1).build(&b, D).unwrap();
     let server = SpmmServer::new(vec![single]).unwrap();

@@ -298,10 +298,15 @@ fn retiring_an_engine_mid_stream_keeps_the_rest_serving() {
     assert_eq!(server.engine_status(0), Some(EngineStatus::Active));
 
     // The server outlives the retirement: engine 0 still serves.
-    let (responses, _, _) = server
-        .serve_stream(0, 2, |sender| {
-            sender.send(0, input(0, 4_800)).expect("engine 0 still serves");
-        })
+    let mut responses = Vec::new();
+    server
+        .serve_controlled(
+            ServeOptions::new(AdmissionPolicy::blocking(2)),
+            |sender| {
+                sender.send(0, input(0, 4_800)).expect("engine 0 still serves");
+            },
+            |response| responses.push(response),
+        )
         .unwrap();
     assert_eq!(responses.len(), 1);
 }
